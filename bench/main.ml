@@ -68,6 +68,7 @@ let bechamel_tests () =
     let registry = T.Registry.create ~classes:4 () in
     Activity.make_ctx p registry
   in
+  let branch_starts = Timewall.component_starts branch_ctx.Activity.partition in
   let chain10 = mv_chain 10 in
   let chain200 = mv_chain 200 in
   let achain10 = mv_achain 10 in
@@ -96,7 +97,7 @@ let bechamel_tests () =
       (Staged.stage (fun () ->
            Activity.a_fn ctx5 ~from_class:0 ~to_class:4 (now5 / 2)));
     Test.make ~name:"E9/wall: E-vector on a 3-branch tree"
-      (Staged.stage (fun () -> Timewall.compute branch_ctx ~m:100));
+      (Staged.stage (fun () -> Timewall.compute branch_ctx ~starts:branch_starts ~m:100));
     Test.make ~name:"mvstore: snapshot read, 10-version chain"
       (Staged.stage (fun () -> Chain.committed_before chain10 ~ts:15));
     Test.make ~name:"mvstore: snapshot read, 200-version chain"

@@ -15,37 +15,87 @@ type ctx = {
 let make_ctx partition registry =
   { partition; registry; cache = Hashtbl.create 32 }
 
-let i_old ctx ~class_id m = Registry.i_old ctx.registry ~class_id ~at:m
+(* --- the composition kernel ---
+   The only code that walks a path applying activity steps.  A step
+   function takes the caller's activity source first: the live
+   registry here, a published snapshot or a worker context in the
+   engines.  Top-level recursion and no closures, so a caller that
+   passes top-level steps allocates nothing. *)
 
-let c_late ctx ~class_id m = Registry.c_late ctx.registry ~class_id ~at:m
+let live_i_old reg cls m = Registry.i_old reg ~class_id:cls ~at:m
+let live_c_late reg cls m = Registry.c_late reg ~class_id:cls ~at:m
 
-let critical_path_exn ctx ~from_class ~to_class =
-  match Partition.critical_path ctx.partition from_class to_class with
+let rec compose i_old src m = function
+  | [] -> m
+  | cls :: rest -> compose i_old src (i_old src cls m) rest
+
+let critical_path_exn partition ~from_class ~to_class =
+  match Partition.critical_path partition from_class to_class with
   | Some path -> path
   | None ->
     invalid_arg
       (Printf.sprintf "Activity: no critical path from T%d to T%d" from_class
          to_class)
 
-let a_fn_trace ctx ~from_class ~to_class m =
-  let path = critical_path_exn ctx ~from_class ~to_class in
-  match path with
+(* A_i^j(m) composes I_old over the successive classes of CP_i^j,
+   excluding the starting class itself. *)
+let threshold partition ~i_old src ~from_class ~to_class m =
+  match critical_path_exn partition ~from_class ~to_class with
   | [] -> assert false
-  | first :: rest ->
-    (* A_i^j(m) composes I_old over the successive classes of CP_i^j,
-       excluding the starting class itself. *)
-    let _, acc =
-      List.fold_left
-        (fun (m, acc) cls ->
-          let m' = i_old ctx ~class_id:cls m in
-          (m', (cls, m') :: acc))
-        (m, [ (first, m) ])
-        rest
-    in
-    List.rev acc
+  | _ :: rest -> compose i_old src m rest
+
+(* Up-steps (u -> v critical arc, v higher) apply I_old at the target
+   class, composing like A.  Down-steps (v -> u critical arc, v lower)
+   apply C_late at the *source* class u — the B composition excludes
+   the bottom class of each descent, so the application happens where
+   the step starts, not where it lands. *)
+let rec walk reduction ~i_old ~c_late src m = function
+  | [] | [ _ ] -> Ok m
+  | u :: (v :: _ as rest) ->
+    if Hdd_graph.Digraph.mem_arc reduction u v then
+      walk reduction ~i_old ~c_late src (i_old src v m) rest
+    else begin
+      assert (Hdd_graph.Digraph.mem_arc reduction v u);
+      match c_late src u m with
+      | Error _ as e -> e
+      | Ok m' -> walk reduction ~i_old ~c_late src m' rest
+    end
+
+let extended partition ~i_old ~c_late src ~s ~i m =
+  match Partition.ucp partition s i with
+  | Some path -> walk partition.Partition.reduction ~i_old ~c_late src m path
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Activity.e_fn: T%d and T%d are not connected" s i)
+
+let wall_components partition ~starts ~i_old ~c_late src m =
+  let n = Partition.segment_count partition in
+  let components = Array.make n Time.zero in
+  let rec fill i =
+    if i >= n then Ok components
+    else
+      match extended partition ~i_old ~c_late src ~s:starts.(i) ~i m with
+      | Ok v ->
+        components.(i) <- v;
+        fill (i + 1)
+      | Error _ as e -> e
+  in
+  fill 0
+
+(* --- over a live registry --- *)
+
+let a_fn_trace ctx ~from_class ~to_class m =
+  let steps = ref [ (from_class, m) ] in
+  let i_old reg cls m =
+    let m' = live_i_old reg cls m in
+    steps := (cls, m') :: !steps;
+    m'
+  in
+  ignore (threshold ctx.partition ~i_old ctx.registry ~from_class ~to_class m);
+  List.rev !steps
 
 let a_fn ctx ~from_class ~to_class m =
-  match critical_path_exn ctx ~from_class ~to_class with
+  match critical_path_exn ctx.partition ~from_class ~to_class with
   | [] -> assert false
   | [ _ ] -> m  (* from = to: the identity (§5.0 hosting) *)
   | _ :: rest ->
@@ -64,9 +114,7 @@ let a_fn ctx ~from_class ~to_class m =
     (match Hashtbl.find_opt ctx.cache key with
     | Some e when e.arg = m && e.stamp = stamp -> e.value
     | found ->
-      let value =
-        List.fold_left (fun m cls -> i_old ctx ~class_id:cls m) m rest
-      in
+      let value = compose live_i_old ctx.registry m rest in
       (match found with
       | Some e ->
         e.arg <- m;
@@ -76,41 +124,15 @@ let a_fn ctx ~from_class ~to_class m =
       value)
 
 let b_fn ctx ~from_class ~to_class m =
-  let path = critical_path_exn ctx ~from_class ~to_class in
+  let path = critical_path_exn ctx.partition ~from_class ~to_class in
   (* path = [from; ...; to]; B walks it top-down, applying C_late at every
      class except the bottom one ([from]), the mirror image of A applying
      I_old at every class except the bottom: only then do Properties 2.1
-     (A∘B >= id) and 2.2 (A∘(B - eps) < id) hold. *)
-  let above_bottom = List.rev (List.tl path) in
-  List.fold_left
-    (fun acc cls ->
-      match acc with
-      | Error _ -> acc
-      | Ok m -> c_late ctx ~class_id:cls m)
-    (Ok m) above_bottom
+     (A∘B >= id) and 2.2 (A∘(B - eps) < id) hold.  Top-down every step is
+     a down-arc, so this is the E walk's C_late rule. *)
+  walk ctx.partition.Partition.reduction ~i_old:live_i_old
+    ~c_late:live_c_late ctx.registry m (List.rev path)
 
 let e_fn ctx ~s ~i m =
-  match Partition.ucp ctx.partition s i with
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Activity.e_fn: T%d and T%d are not connected" s i)
-  | Some path ->
-    let reduction = ctx.partition.Partition.reduction in
-    (* Up-steps (u -> v critical arc, v higher) apply I_old at the target
-       class, composing like A.  Down-steps (v -> u critical arc, v lower)
-       apply C_late at the *source* class u — the B composition excludes
-       the bottom class of each descent, so the application happens where
-       the step starts, not where it lands. *)
-    let rec walk m = function
-      | [] | [ _ ] -> Ok m
-      | u :: (v :: _ as rest) ->
-        if Hdd_graph.Digraph.mem_arc reduction u v then
-          walk (i_old ctx ~class_id:v m) rest
-        else begin
-          assert (Hdd_graph.Digraph.mem_arc reduction v u);
-          match c_late ctx ~class_id:u m with
-          | Error _ as e -> e
-          | Ok m' -> walk m' rest
-        end
-    in
-    walk m path
+  extended ctx.partition ~i_old:live_i_old ~c_late:live_c_late ctx.registry
+    ~s ~i m

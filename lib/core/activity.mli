@@ -31,10 +31,35 @@ type ctx = {
 
 val make_ctx : Partition.t -> Registry.t -> ctx
 
-val i_old : ctx -> class_id:int -> Time.t -> Time.t
-(** [I_class^old(m)] — re-exported for experiments and tests. *)
+(** {1 The composition kernel}
 
-val c_late : ctx -> class_id:int -> Time.t -> (Time.t, Txn.id) result
+    The one implementation of the [A] and [E] compositions, shared by
+    {!a_fn}, {!e_fn}, {!Timewall}, the multicore engine and the shard
+    node.  The caller supplies the [I_old] / [C_late] steps over its own
+    activity source ['s] (live registry, published snapshot, worker or
+    node context) and keeps its staleness checks inside them.  Top-level
+    steps keep the kernel allocation-free. *)
+
+val live_i_old : Registry.t -> int -> Time.t -> Time.t
+val live_c_late : Registry.t -> int -> Time.t -> (Time.t, Txn.id) result
+
+val threshold :
+  Partition.t -> i_old:('s -> int -> Time.t -> Time.t) -> 's ->
+  from_class:int -> to_class:int -> Time.t -> Time.t
+(** [A_{from}^{to}(m)], uncached: [i_old] at every class of the
+    critical path after [from].
+    @raise Invalid_argument when no critical path joins the classes. *)
+
+val wall_components :
+  Partition.t -> starts:int array ->
+  i_old:('s -> int -> Time.t -> Time.t) ->
+  c_late:('s -> int -> Time.t -> (Time.t, 'e) result) -> 's -> Time.t ->
+  (Time.t array, 'e) result
+(** The wall vector [E_{starts.(i)}^i(m)] for every class [i] (the walk
+    of {!e_fn}), stopping at the first [Error].  [starts] is
+    {!Timewall.component_starts}. *)
+
+(** {1 Over a live registry} *)
 
 val a_fn : ctx -> from_class:int -> to_class:int -> Time.t -> Time.t
 (** [A_{from}^{to}(m)].  When [from = to] this is the identity (used by the

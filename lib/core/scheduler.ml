@@ -233,7 +233,7 @@ let prune_adhoc_history t =
    fictitious class just below [bottom]: compose I_old starting at
    [bottom] itself, then up the critical path to [segment]. *)
 let hosted_threshold t ~bottom ~segment m =
-  let after_bottom = Activity.i_old t.ctx ~class_id:bottom m in
+  let after_bottom = Activity.live_i_old t.ctx.Activity.registry bottom m in
   if segment = bottom then Some after_bottom
   else if Partition.higher_than t.partition segment bottom then
     Some (Activity.a_fn t.ctx ~from_class:bottom ~to_class:segment after_bottom)

@@ -30,24 +30,15 @@ let component_starts (partition : Partition.t) =
   done;
   starts
 
-let compute (ctx : Activity.ctx) ~m =
-  let n = Partition.segment_count ctx.Activity.partition in
-  let starts = component_starts ctx.Activity.partition in
-  let components = Array.make n Time.zero in
-  let rec fill i =
-    if i >= n then Ok components
-    else
-      match Activity.e_fn ctx ~s:starts.(i) ~i m with
-      | Ok v ->
-        components.(i) <- v;
-        fill (i + 1)
-      | Error id -> Error id
-  in
-  fill 0
+let compute (ctx : Activity.ctx) ~starts ~m =
+  Activity.wall_components ctx.Activity.partition ~starts
+    ~i_old:Activity.live_i_old ~c_late:Activity.live_c_late
+    ctx.Activity.registry m
 
 type manager = {
   ctx : Activity.ctx;
   clock : Time.Clock.clock;
+  starts : int array;
   primary_start : int;
   trace : Hdd_obs.Trace.t option;
   mutable walls : wall list;  (* newest first, never empty *)
@@ -56,7 +47,7 @@ type manager = {
 
 let try_release_inner mgr =
   let m = Time.Clock.tick mgr.clock in
-  match compute mgr.ctx ~m with
+  match compute mgr.ctx ~starts:mgr.starts ~m with
   | Error id as e ->
     (match mgr.trace with
     | None -> ()
@@ -85,7 +76,10 @@ let create ?trace ctx ~clock =
     | s :: _ -> s
     | [] -> 0
   in
-  let mgr = { ctx; clock; primary_start; trace; walls = []; count = 0 } in
+  let mgr =
+    { ctx; clock; starts = component_starts ctx.Activity.partition;
+      primary_start; trace; walls = []; count = 0 }
+  in
   (match try_release_inner mgr with
   | Ok _ -> ()
   | Error _ ->

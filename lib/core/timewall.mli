@@ -26,20 +26,21 @@ val to_vector : wall -> Time.t array
 
 val make :
   s:int -> m:Time.t -> components:Time.t array -> released_at:Time.t -> wall
-(** Assemble a wall from externally computed components — the parallel
-    runtime's wall coordinator evaluates [E] over published registry
-    snapshots rather than through a live {!Activity.ctx}.  The array is
-    copied. *)
+(** Assemble a wall from externally computed components — the engine
+    and shard-node coordinators run {!Activity.wall_components} over
+    published registry snapshots rather than a live {!Activity.ctx}.
+    The array is copied. *)
 
 val component_starts : Partition.t -> int array
 (** For each class, the start class of its connected component (one
     lowest class per component; isolated nodes start at themselves) —
-    the per-component wall assembly of §5.2, exposed for the parallel
-    coordinator. *)
+    the per-component wall assembly of §5.2.  Static per partition:
+    callers compute it once. *)
 
 val compute :
-  Activity.ctx -> m:Time.t -> (Time.t array, Txn.id) result
-(** One attempt at building the component vector anchored at [m]; [Error
+  Activity.ctx -> starts:int array -> m:Time.t -> (Time.t array, Txn.id) result
+(** One attempt at building the component vector anchored at [m], with
+    [starts] the {!component_starts} of the context's partition; [Error
     id] when a [C^late] along some undirected path is not yet computable
     because [id] is still active — the caller retries after that
     transaction finishes. *)

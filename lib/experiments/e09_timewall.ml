@@ -24,6 +24,8 @@ let partition =
            Spec.txn_type ~name:"left" ~writes:[ 0 ] ~reads:[ 0; 2 ];
            Spec.txn_type ~name:"right" ~writes:[ 1 ] ~reads:[ 1; 2 ] ])
 
+let starts = Timewall.component_starts partition
+
 let random_history ~seed ~steps =
   let rng = Prng.create seed in
   let registry = Registry.create ~classes:3 () in
@@ -70,7 +72,7 @@ let run () =
   in
   List.iter
     (fun m ->
-      match Timewall.compute ctx ~m with
+      match Timewall.compute ctx ~starts ~m with
       | Ok w ->
         Table.add_row table
           [ string_of_int m; string_of_int w.(0); string_of_int w.(1);
@@ -86,7 +88,7 @@ let run () =
     let ctx = Activity.make_ctx partition registry in
     List.iter
       (fun m ->
-        match Timewall.compute ctx ~m with
+        match Timewall.compute ctx ~starts ~m with
         | Error _ -> ()
         | Ok wall ->
           incr walls;

@@ -123,13 +123,13 @@ let value_at_ts buf len ts fallback =
   else Array.unsafe_get buf (i - 1)
 
 let latest_before t ~key ~ts =
-  if key >= t.nkeys then Time.zero
+  if key < 0 || key >= t.nkeys then Time.zero
   else
     let slot = Array.unsafe_get t.slots key in
     latest_ts_below slot.buf slot.len ts
 
 let value_of t ~key ~ts ~fallback =
-  if key >= t.nkeys then fallback
+  if key < 0 || key >= t.nkeys then fallback
   else
     let slot = Array.unsafe_get t.slots key in
     value_at_ts slot.buf slot.len ts fallback
@@ -150,31 +150,15 @@ let publish t =
     v_n = n }
 
 let view_latest_before v ~key ~ts =
-  if key >= v.v_n then Time.zero
+  if key < 0 || key >= v.v_n then Time.zero
   else
     latest_ts_below (Array.unsafe_get v.v_bufs key)
       (Array.unsafe_get v.v_lens key) ts
-
-let view_value_of v ~key ~ts ~fallback =
-  if key >= v.v_n then fallback
-  else
-    value_at_ts (Array.unsafe_get v.v_bufs key)
-      (Array.unsafe_get v.v_lens key) ts fallback
 
 let latest_before_pair t ~key ~ts =
   let vts = latest_before t ~key ~ts in
   if vts = Time.zero then None
   else Some (vts, value_of t ~key ~ts:vts ~fallback:0)
 
-let view_latest_before_pair v ~key ~ts =
-  let vts = view_latest_before v ~key ~ts in
-  if vts = Time.zero then None
-  else Some (vts, view_value_of v ~key ~ts:vts ~fallback:0)
-
 let dirty_count t = t.dirty_n
 let version_count t = t.versions
-let key_count t = t.nkeys
-let view_version_count v =
-  let c = ref 0 in
-  for k = 0 to v.v_n - 1 do c := !c + (v.v_lens.(k) / 2) done;
-  !c

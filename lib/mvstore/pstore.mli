@@ -1,26 +1,28 @@
-(** Packed-int multi-version store for the multicore runtime's hot path.
+(** Packed-int multi-version store of committed versions — the one
+    version store of the multicore engine and the shard node.
 
-    {!Snapshot} is a persistent map of boxed version lists — pleasant to
-    publish, but every commit allocates map spine and list cells, and
-    every read chases pointers.  [Pstore] flattens each granule's
-    version chain into a packed [int array] of [ts; value] pairs in
-    ascending-ts order — the same layout trick that took trace events
-    116→12 ns (DESIGN.md §9) — and splits the store into two faces:
+    Each key's version chain is a packed [int array] of [ts; value]
+    pairs in ascending-ts order — the same layout trick that took trace
+    events 116→12 ns (DESIGN.md §9) — so a commit appends in place and a
+    read is a binary search, with no boxed list cells or map spine.  The
+    store has two faces:
 
-    - the {e owner face} ({!t}): mutable, touched only by the owning
-      worker domain.  {!add_commit} appends in place and allocates
-      nothing once buffers reach steady-state capacity (in-place
-      compaction below the {!set_watermark} point reclaims space
-      instead of growing);
+    - the {e owner face} ({!t}): mutable, touched only by one thread —
+      the owning engine worker, or the single-threaded shard node for
+      both its own segments and its delta-replicated caches.
+      {!add_commit} appends in place and allocates nothing once buffers
+      reach steady-state capacity (in-place compaction below the
+      {!set_watermark} point reclaims space instead of growing);
     - the {e reader face} ({!view}): an immutable frozen copy cut by
       {!publish} once per batch, swapped into an [Atomic.t] by the
       engine.  Views are never mutated, so cross-domain readers need no
       synchronization beyond the view swap itself.
 
     Reads return the version timestamp directly ([Time.zero] = the
-    bootstrap value predating every commit) — no option, no tuple — so
-    the Protocol A/B/C read paths allocate nothing.  The [_pair]
-    variants are allocating conveniences for tests and tools. *)
+    bootstrap value predating every commit; a negative key reads as
+    never written) — no option, no tuple — so the Protocol A/B/C read
+    paths allocate nothing.  {!latest_before_pair} is the allocating
+    convenience for tools and the shard node's wire replies. *)
 
 type t
 (** Owner face: one per segment, single-domain mutable. *)
@@ -56,13 +58,10 @@ val publish : t -> view
     Clean keys share their previous frozen buffer. *)
 
 val view_latest_before : view -> key:int -> ts:Time.t -> Time.t
-val view_value_of : view -> key:int -> ts:Time.t -> fallback:int -> int
 
 val latest_before_pair : t -> key:int -> ts:Time.t -> (Time.t * int) option
-(** Allocating convenience mirroring {!Snapshot.latest_before}. *)
-
-val view_latest_before_pair :
-  view -> key:int -> ts:Time.t -> (Time.t * int) option
+(** The newest version strictly below [ts] with its value, or [None]
+    for the bootstrap value. *)
 
 val dirty_count : t -> int
 (** Keys with versions the last published view does not hold — zero
@@ -71,6 +70,3 @@ val dirty_count : t -> int
 
 val version_count : t -> int
 (** Live (uncompacted) versions across all keys. *)
-
-val key_count : t -> int
-val view_version_count : view -> int

@@ -1,6 +1,7 @@
 module T = Hdd_obs.Trace
 module Pstore = Hdd_mvstore.Pstore
 module P = Hdd_core.Partition
+module Activity = Hdd_core.Activity
 module TW = Hdd_core.Timewall
 
 type op = Read of Granule.t | Write of Granule.t * int
@@ -302,27 +303,12 @@ let fast_i_old w cls at =
   end
   else slow_i_old w cls at
 
-(* A_i^j(m): I_old composed along the critical path.  Classes this
+(* The I_old step of A_i^j(m) for the composition kernel.  Classes this
    worker owns are answered from the live local registry; remote
    classes from their activity boards — wait-free either way. *)
-let rec compose_threshold w m path =
-  match path with
-  | [] -> m
-  | cls :: rest ->
-    let m' =
-      if owner w.sh cls = w.me then
-        Registry.i_old w.registry ~class_id:cls ~at:m
-      else fast_i_old w cls m
-    in
-    compose_threshold w m' rest
-
-let a_threshold w ~from_class ~to_class m =
-  match P.critical_path w.sh.partition from_class to_class with
-  | None | Some [] ->
-    invalid_arg
-      (Printf.sprintf "Engine: no critical path from T%d to T%d" from_class
-         to_class)
-  | Some (_ :: rest) -> compose_threshold w m rest
+let a_step w cls m =
+  if owner w.sh cls = w.me then Registry.i_old w.registry ~class_id:cls ~at:m
+  else fast_i_old w cls m
 
 (* Newest version of [key] strictly below [th] in a remote segment.
    The published view is complete at or below its publication's upto;
@@ -432,7 +418,10 @@ let rec run_update_ops w d cls init esc ops =
         if not (P.may_read w.sh.partition ~class_id:cls ~segment:seg) then
           invalid_arg
             (Printf.sprintf "Engine: T%d may not read D%d" cls seg);
-        let th = a_threshold w ~from_class:cls ~to_class:seg init in
+        let th =
+          Activity.threshold w.sh.partition ~i_old:a_step w ~from_class:cls
+            ~to_class:seg init
+        in
         (* own segments are served from the live local store — always
            complete; remote segments from the published view spliced
            with the owner's version ring *)
@@ -585,8 +574,22 @@ let exec w d =
 
 (* --- the wall coordinator --- *)
 
+(* A release attempt that must wait: a publication does not cover a
+   step's argument yet, or a straggler blocks a C_late. *)
 exception Wall_stale
-exception Wall_not_computable
+
+(* The coordinator's kernel steps over one fetch of the publications,
+   indexed by class: a step whose argument its owner's publication does
+   not cover is stale. *)
+let covering (p : pub) a =
+  if p.p_upto < a then raise Wall_stale;
+  p.p_snap
+
+let wall_i_old cls_pubs c a =
+  Registry.snap_i_old (covering cls_pubs.(c) a) ~class_id:c ~at:a
+
+let wall_c_late cls_pubs c a =
+  Registry.snap_c_late (covering cls_pubs.(c) a) ~class_id:c ~at:a
 
 (* The repartition barrier, coordinator side (DESIGN.md §17).  Three
    phases, all between transactions of every worker:
@@ -660,7 +663,6 @@ let rotated_map map workers =
 let coordinator sh ~primary ~starts ~initial_m ?(plan = []) ?(mode_plan = [])
     ?control ?(rotate_every_s = 0.) trace =
   let nseg = sh.nseg in
-  let reduction = sh.partition.P.reduction in
   let last_m = ref initial_m in
   let releases = ref 0 and lag_sum = ref 0 and lag_max = ref 0 in
   let repartitions = ref 0 and escalations = ref 0 in
@@ -713,7 +715,6 @@ let coordinator sh ~primary ~starts ~initial_m ?(plan = []) ?(mode_plan = [])
       try
         let omap = Atomic.get sh.owner_map in
         let pubs = Array.map Atomic.get sh.pubs in
-        let pub_of c = pubs.(omap.(c)) in
         (* below q(i), class i is quiescent — every member with a
            smaller initiation has finished and its versions published.
            The fold over every worker keeps a past owner's stale-but-
@@ -727,36 +728,17 @@ let coordinator sh ~primary ~starts ~initial_m ?(plan = []) ?(mode_plan = [])
         (* m = max_int means every owner has published its final (exit)
            snapshot: the run is over, a wall there would be meaningless *)
         if m > !last_m && m < max_int then begin
-          let i_old_at c a =
-            let p = pub_of c in
-            if p.p_upto < a then raise Wall_stale;
-            Registry.snap_i_old p.p_snap ~class_id:c ~at:a
+          (* E_s^i(m) over the frozen views *)
+          let components =
+            match
+              Activity.wall_components sh.partition ~starts ~i_old:wall_i_old
+                ~c_late:wall_c_late
+                (Array.map (Array.get pubs) omap)
+                m
+            with
+            | Ok components -> components
+            | Error _ -> raise Wall_stale
           in
-          let c_late_at c a =
-            let p = pub_of c in
-            if p.p_upto < a then raise Wall_stale;
-            match Registry.snap_c_late p.p_snap ~class_id:c ~at:a with
-            | Ok v -> v
-            | Error _ -> raise Wall_not_computable
-          in
-          (* E_s^i(m): I_old at the target of up-arcs, C_late at the
-             source of down-arcs — Activity.e_fn over frozen views *)
-          let components = Array.make nseg Time.zero in
-          for i = 0 to nseg - 1 do
-            let path =
-              match P.ucp sh.partition starts.(i) i with
-              | Some p -> p
-              | None -> [ i ]
-            in
-            let rec walk a = function
-              | [] | [ _ ] -> a
-              | u :: (v :: _ as rest) ->
-                if Hdd_graph.Digraph.mem_arc reduction u v then
-                  walk (i_old_at v a) rest
-                else walk (c_late_at u a) rest
-            in
-            components.(i) <- walk m path
-          done;
           (* stability re-check against the published summaries: a
              component above q(i) could admit a version a class-i
              straggler has yet to publish; retry once they drain *)
@@ -780,7 +762,7 @@ let coordinator sh ~primary ~starts ~initial_m ?(plan = []) ?(mode_plan = [])
           true
         end
         else m >= max_int
-      with Wall_stale | Wall_not_computable -> false
+      with Wall_stale -> false
     in
     (* batched publication bounds how far summaries lag behind the
        clock; when the wall fails to advance for two polls, ask every
@@ -1182,10 +1164,12 @@ let run_timed ~partition ~init ~workers ~seconds ?(wall_poll_s = 100e-6)
 
 (* --- allocation probe ---
 
-   A single-domain steady-state Protocol B commit loop: one writer
-   class, one write + one own-segment read per transaction, publication
-   deferred (publish_every = max_int), trace off, outcomes off — the
-   pure commit path.  Periodic maintenance (watermark + prune) keeps
+   A single-domain steady-state commit loop: one writer class over a
+   two-segment chain, one write + one own-segment Protocol B read + one
+   Protocol A read of the owned higher segment per transaction (the
+   composition kernel on the read path), publication deferred
+   (publish_every = max_int), trace off, outcomes off — the pure commit
+   path.  Periodic maintenance (watermark + prune) keeps
    the packed store and the registry window index at steady capacity so
    in-place compaction absorbs all growth.
 
@@ -1208,8 +1192,10 @@ let rec probe_run ctx descs i n =
 let alloc_probe ?(commits = 20_000) () =
   let partition =
     P.build_exn
-      (Hdd_core.Spec.make ~segments:[ "D0" ]
-         ~types:[ Hdd_core.Spec.txn_type ~name:"t0" ~writes:[ 0 ] ~reads:[ 0 ] ])
+      (Hdd_core.Spec.make ~segments:[ "D0"; "D1" ]
+         ~types:
+           [ Hdd_core.Spec.txn_type ~name:"t0" ~writes:[ 0 ] ~reads:[ 0; 1 ];
+             Hdd_core.Spec.txn_type ~name:"t1" ~writes:[ 1 ] ~reads:[ 1 ] ])
   in
   let s =
     setup ~partition
@@ -1223,8 +1209,9 @@ let alloc_probe ?(commits = 20_000) () =
   let descs =
     Array.init 8 (fun i ->
         let g = Granule.make ~segment:0 ~key:i in
-        { d_id = i + 1; d_kind = `Update 0; d_ops = [ Write (g, i); Read g ];
-          d_abort = false })
+        let g1 = Granule.make ~segment:1 ~key:i in
+        { d_id = i + 1; d_kind = `Update 0;
+          d_ops = [ Write (g, i); Read g; Read g1 ]; d_abort = false })
   in
   (* reach steady-state capacities before measuring *)
   probe_run ctx descs 0 4096;

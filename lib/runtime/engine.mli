@@ -194,10 +194,12 @@ val run_timed :
 
 val alloc_probe : ?commits:int -> unit -> float
 (** Marginal heap bytes allocated per committed transaction on the
-    steady-state Protocol B commit path: a single-domain loop (one
-    write + one own-segment read per transaction, publication deferred,
-    trace and outcome recording off) measured via [Gc.allocated_bytes]
-    deltas, with periodic watermark/prune maintenance inside the
-    measured window so in-place compaction absorbs all growth.  The
-    zero-allocation gate in [test_runtime.ml] asserts this is exactly
-    [0.]. *)
+    steady-state commit path: a single-domain loop over a two-segment
+    chain (one write, one own-segment Protocol B read and one Protocol A
+    read of the owned higher segment per transaction, so the
+    {!Hdd_core.Activity.threshold} kernel is on the measured path;
+    publication deferred, trace and outcome recording off) measured via
+    [Gc.allocated_bytes] deltas, with periodic watermark/prune
+    maintenance inside the measured window so in-place compaction
+    absorbs all growth.  The zero-allocation gate in [test_runtime.ml]
+    asserts this is exactly [0.]. *)

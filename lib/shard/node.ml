@@ -1,7 +1,8 @@
 module T = Hdd_obs.Trace
 module P = Hdd_core.Partition
 module TW = Hdd_core.Timewall
-module Snap = Hdd_mvstore.Snapshot
+module Activity = Hdd_core.Activity
+module Pstore = Hdd_mvstore.Pstore
 module E = Hdd_runtime.Engine
 
 type config = {
@@ -52,9 +53,10 @@ type t = {
   net : Transport.t;
   clock : Sclock.t;
   registry : Registry.t;
-  store : Snap.t array;
+  store : Pstore.t array;
       (** per segment: own segments authoritative, remote ones a
-          delta-replicated cache *)
+          delta-replicated cache; the node is single-threaded, so the
+          owner face serves both *)
   applied : int array;  (** delta messages applied, per segment *)
   sent_marks : int array;  (** delta messages broadcast, per own segment *)
   mutable pub_seq : int;
@@ -131,18 +133,29 @@ let publish_final t = publish_upto t max_int
 
 (* --- receiving --- *)
 
-let apply_delta t (d : Wire.delta) =
+(* Segment indices and keys off the wire are checked before they index
+   anything: a segment must be in range and owned by [by] — the sender
+   of a delta, the addressee of a lock or read request — and keys are
+   never negative. *)
+let owned_by t ~by segment =
+  segment >= 0 && segment < t.nseg && owner t segment = by
+
+let refuse t what segment =
+  invalid_arg (Printf.sprintf "Node %d: malformed %s for D%d" t.me what segment)
+
+let apply_delta t ~src (d : Wire.delta) =
+  let seg = d.Wire.dl_segment in
+  (* a delta never overwrites the receiver's own, authoritative store *)
+  if src = t.me || (not (owned_by t ~by:src seg))
+     || List.exists (fun (key, _, _) -> key < 0) d.Wire.dl_versions
+  then refuse t "delta" seg;
   List.iter
-    (fun (key, ts, value) ->
-      let g = Granule.make ~segment:d.Wire.dl_segment ~key in
-      t.store.(d.Wire.dl_segment) <-
-        Snap.add_commit t.store.(d.Wire.dl_segment) g ~ts ~value)
+    (fun (key, ts, value) -> Pstore.add_commit t.store.(seg) ~key ~ts ~value)
     d.Wire.dl_versions;
-  t.applied.(d.Wire.dl_segment) <- t.applied.(d.Wire.dl_segment) + 1
+  t.applied.(seg) <- t.applied.(seg) + 1
 
 let serve_local t ~segment ~key ~th =
-  let g = Granule.make ~segment ~key in
-  match Snap.latest_before t.store.(segment) g ~ts:th with
+  match Pstore.latest_before_pair t.store.(segment) ~key ~ts:th with
   | Some (vts, v) -> [ (vts, v) ]
   | None -> []
 
@@ -162,7 +175,7 @@ let handle t (pkt : Wire.packet) =
             r_upto = p.Wire.p_upto;
             r_marks = p.Wire.p_marks;
             r_snap = p.Wire.p_snap }
-  | Wire.Delta d -> apply_delta t d
+  | Wire.Delta d -> apply_delta t ~src:pkt.Wire.src d
   | Wire.Wall w ->
     if w.TW.released_at > t.wall.TW.released_at then begin
       let advanced = w.TW.m > t.wall.TW.m in
@@ -178,8 +191,7 @@ let handle t (pkt : Wire.packet) =
   | Wire.Drain -> t.drain_seen <- true
   | Wire.Bye _ -> t.bye <- true
   | Wire.Lock_req { req; segment } ->
-    if segment < 0 || segment >= t.nseg || owner t segment <> t.me then
-      invalid_arg "Node: lock request for a segment this shard does not own";
+    if not (owned_by t ~by:t.me segment) then refuse t "lock request" segment;
     if t.locked.(segment) then Queue.add (pkt.Wire.src, req) t.lock_waiters.(segment)
     else begin
       t.locked.(segment) <- true;
@@ -187,12 +199,15 @@ let handle t (pkt : Wire.packet) =
         (Wire.Lock_reply { req; granted = true })
     end
   | Wire.Unlock { segment } -> (
+    if not (owned_by t ~by:t.me segment) then refuse t "unlock" segment;
     match Queue.take_opt t.lock_waiters.(segment) with
     | Some (dst, req) ->
       Transport.send_to t.net ~dst ~stamp:(Sclock.now t.clock)
         (Wire.Lock_reply { req; granted = true })
     | None -> t.locked.(segment) <- false)
   | Wire.Read_req { req; segment; key; threshold } ->
+    if key < 0 || not (owned_by t ~by:t.me segment) then
+      refuse t "read request" segment;
     Transport.send_to t.net ~dst:pkt.Wire.src ~stamp:(Sclock.now t.clock)
       (Wire.Read_reply
          { req; slice = serve_local t ~segment ~key ~th:threshold })
@@ -202,58 +217,52 @@ let handle t (pkt : Wire.packet) =
 
 (* --- the wall coordinator (shard 0) --- *)
 
+(* A release attempt that must wait: a publication does not cover a
+   step's argument yet, or a straggler blocks a C_late. *)
 exception Wall_stale
-exception Wall_not_computable
+
+(* The coordinator's kernel steps over per-class (snapshot, upto)
+   publications: a step whose argument its publication does not cover
+   is stale. *)
+let covering (snap, upto) a =
+  if upto < a then raise Wall_stale;
+  snap
+
+let wall_i_old pubs c a =
+  Registry.snap_i_old (covering pubs.(c) a) ~class_id:c ~at:a
+
+let wall_c_late pubs c a =
+  Registry.snap_c_late (covering pubs.(c) a) ~class_id:c ~at:a
 
 let coordinator_attempt t co =
   let now_ = Sclock.now t.clock in
   if now_ <> co.last_seen then begin
     co.last_seen <- now_;
     try
-      let own_snap = lazy (Registry.snapshot t.registry) in
-      let pub_of c =
-        if owner t c = t.me then (Lazy.force own_snap, now_)
-        else
-          match t.rpubs.(owner t c) with
-          | Some p -> (p.r_snap, p.r_upto)
-          | None -> raise Wall_stale
+      let own = (Registry.snapshot t.registry, now_) in
+      let pubs =
+        Array.init t.nseg (fun c ->
+            if owner t c = t.me then own
+            else
+              match t.rpubs.(owner t c) with
+              | Some p -> (p.r_snap, p.r_upto)
+              | None -> raise Wall_stale)
       in
       let q =
-        Array.init t.nseg (fun c ->
-            let snap, upto = pub_of c in
-            Registry.snap_i_old snap ~class_id:c ~at:upto)
+        Array.mapi
+          (fun c (snap, upto) -> Registry.snap_i_old snap ~class_id:c ~at:upto)
+          pubs
       in
       let m = Array.fold_left Time.min q.(0) q in
       if m > co.last_m && m < max_int then begin
-        let i_old_at c a =
-          let snap, upto = pub_of c in
-          if upto < a then raise Wall_stale;
-          Registry.snap_i_old snap ~class_id:c ~at:a
+        let components =
+          match
+            Activity.wall_components t.partition ~starts:co.starts
+              ~i_old:wall_i_old ~c_late:wall_c_late pubs m
+          with
+          | Ok components -> components
+          | Error _ -> raise Wall_stale
         in
-        let c_late_at c a =
-          let snap, upto = pub_of c in
-          if upto < a then raise Wall_stale;
-          match Registry.snap_c_late snap ~class_id:c ~at:a with
-          | Ok v -> v
-          | Error _ -> raise Wall_not_computable
-        in
-        let reduction = t.partition.P.reduction in
-        let components = Array.make t.nseg Time.zero in
-        for i = 0 to t.nseg - 1 do
-          let path =
-            match P.ucp t.partition co.starts.(i) i with
-            | Some p -> p
-            | None -> [ i ]
-          in
-          let rec walk a = function
-            | [] | [ _ ] -> a
-            | u :: (v :: _ as rest) ->
-              if Hdd_graph.Digraph.mem_arc reduction u v then
-                walk (i_old_at v a) rest
-              else walk (c_late_at u a) rest
-          in
-          components.(i) <- walk m path
-        done;
         (* stability: a component above q.(i) could admit a version a
            class-i straggler has yet to replicate *)
         Array.iteri (fun i v -> if v > q.(i) then raise Wall_stale) components;
@@ -271,7 +280,7 @@ let coordinator_attempt t co =
         t.c.n_wall_lag_sum <- t.c.n_wall_lag_sum + lag;
         if lag > t.c.n_wall_lag_max then t.c.n_wall_lag_max <- lag
       end
-    with Wall_stale | Wall_not_computable -> ()
+    with Wall_stale -> ()
   end
 
 let pump t =
@@ -316,23 +325,13 @@ let await_pub t ~class_id m =
       match t.rpubs.(ow) with Some p -> p.r_upto >= m | None -> false);
   match t.rpubs.(ow) with Some p -> p | None -> assert false
 
-(* A_i^j(m): I_old composed along the critical path, local classes from
-   the live registry, remote ones from received publications. *)
-let a_threshold t ~from_class ~to_class m =
-  match P.critical_path t.partition from_class to_class with
-  | None | Some [] ->
-    invalid_arg
-      (Printf.sprintf "Shard node: no critical path from T%d to T%d"
-         from_class to_class)
-  | Some (_ :: rest) ->
-    List.fold_left
-      (fun m cls ->
-        if owner t cls = t.me then
-          Registry.i_old t.registry ~class_id:cls ~at:m
-        else
-          let pub = await_pub t ~class_id:cls m in
-          Registry.snap_i_old pub.r_snap ~class_id:cls ~at:m)
-      m rest
+(* The I_old step of A_i^j(m) for the composition kernel: local classes
+   from the live registry, remote ones from received publications. *)
+let a_step t cls m =
+  if owner t cls = t.me then Registry.i_old t.registry ~class_id:cls ~at:m
+  else
+    let pub = await_pub t ~class_id:cls m in
+    Registry.snap_i_old pub.r_snap ~class_id:cls ~at:m
 
 (* Wait until the cache of remote segment [seg] provably holds every
    committed version below [th]: the owner's publication must cover the
@@ -411,7 +410,10 @@ let exec_update t (d : E.desc) cls =
           if not (P.may_read t.partition ~class_id:cls ~segment:seg) then
             invalid_arg
               (Printf.sprintf "Shard node: T%d may not read D%d" cls seg);
-          let th = a_threshold t ~from_class:cls ~to_class:seg init in
+          let th =
+            Activity.threshold t.partition ~i_old:a_step t ~from_class:cls
+              ~to_class:seg init
+          in
           if owner t seg <> t.me then await_store t ~seg ~th;
           let vts, _ = serve t ~segment:seg ~key:g.Granule.key ~th in
           t.c.n_reads_a <- t.c.n_reads_a + 1;
@@ -435,7 +437,7 @@ let exec_update t (d : E.desc) cls =
     List.iter
       (fun ((g : Granule.t), v) ->
         let seg = g.segment in
-        t.store.(seg) <- Snap.add_commit t.store.(seg) g ~ts:init ~value:v;
+        Pstore.add_commit t.store.(seg) ~key:g.key ~ts:init ~value:v;
         let batch =
           match List.assoc_opt seg !touched with Some b -> b | None -> []
         in
@@ -534,8 +536,7 @@ let commit_local t ~segment ~key ~value =
   if owner t segment <> t.me then
     invalid_arg "Node.commit_local: not an owned segment";
   let ts = Sclock.tick t.clock in
-  let g = Granule.make ~segment ~key in
-  t.store.(segment) <- Snap.add_commit t.store.(segment) g ~ts ~value;
+  Pstore.add_commit t.store.(segment) ~key ~ts ~value;
   t.c.n_writes <- t.c.n_writes + 1;
   t.c.n_committed <- t.c.n_committed + 1
 
@@ -583,7 +584,7 @@ let create ?(config = default_config) ~partition ~init ~net () =
       net;
       clock;
       registry = Registry.create ?trace ~classes:nseg ();
-      store = Array.make nseg Snap.empty;
+      store = Array.init nseg (fun _ -> Pstore.create ());
       applied = Array.make nseg 0;
       sent_marks = Array.make nseg 0;
       pub_seq = 0;

@@ -15,9 +15,16 @@
     duplicated or reordered publications can only ever add waiting,
     never admit an inconsistent read.
 
-    Shard 0 doubles as the wall coordinator: it recomputes the
-    engine-identical UCP walk over its own registry plus the cached
-    remote publications and broadcasts each released wall.
+    Shard 0 doubles as the wall coordinator: it runs the engine's
+    composition kernel ({!Hdd_core.Activity.wall_components}) over its
+    own registry plus the cached remote publications and broadcasts
+    each released wall.
+
+    Wire input is checked before it indexes a store: a [Delta] must
+    name a segment its sender owns (never one of the receiver's), a
+    [Lock_req], [Unlock] or [Read_req] a segment the receiver owns, and
+    no key may be negative — anything else raises [Invalid_argument]
+    from {!pump}.
 
     A node never blocks the OS thread: every wait is a [check]-loop
     that republishes its own activity (so mutually waiting shards

@@ -138,8 +138,8 @@ let prop_i_old_monotone =
       let ok = ref true in
       for cls = 0 to 2 do
         for m = 1 to horizon - 1 do
-          let a = Activity.i_old ctx ~class_id:cls m in
-          let b = Activity.i_old ctx ~class_id:cls (m + 1) in
+          let a = Activity.live_i_old ctx.Activity.registry cls m in
+          let b = Activity.live_i_old ctx.Activity.registry cls (m + 1) in
           if a > b || a > m then ok := false
         done
       done;
@@ -204,7 +204,8 @@ let test_e_fn_blocked_reports_straggler () =
 
 let test_timewall_compute_idle () =
   let ctx, _ = mk_ctx branch2 in
-  match Timewall.compute ctx ~m:5 with
+  let starts = Timewall.component_starts branch2 in
+  match Timewall.compute ctx ~starts ~m:5 with
   | Ok components ->
     Alcotest.check (Alcotest.array Alcotest.int) "identity wall"
       [| 5; 5; 5 |] components
@@ -262,10 +263,11 @@ let prop_wall_separation =
       let h = History_gen.random ~seed ~steps:80 ~classes:3 () in
       let ctx = Activity.make_ctx branch2 h.History_gen.registry in
       let horizon = Time.Clock.now h.History_gen.clock in
+      let starts = Timewall.component_starts branch2 in
       let ok = ref true in
       List.iter
         (fun m ->
-          match Timewall.compute ctx ~m with
+          match Timewall.compute ctx ~starts ~m with
           | Error _ -> ok := false
           | Ok wall ->
             List.iter

@@ -7,6 +7,7 @@ module Achain = Hdd_mvstore.Achain
 module Segment = Hdd_mvstore.Segment
 module Store = Hdd_mvstore.Store
 module Sv = Hdd_mvstore.Sv_store
+module Pstore = Hdd_mvstore.Pstore
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -261,6 +262,65 @@ let test_sv_store () =
   checki "rts" 7 (Sv.cell sv g).Sv.rts;
   checki "granules" 1 (Sv.granule_count sv)
 
+(* --- the packed store against a list model ---
+   Random commit / watermark sequences over three keys.  Reads at or
+   above the watermark must see the whole history (compaction only ever
+   drops versions no such read can name), and the live-version counter
+   must equal the versions still in the buffers: a version is live iff
+   a read just above it still finds it, since compaction drops a prefix
+   of each key's history. *)
+
+let prop_pstore_model =
+  let op =
+    QCheck2.Gen.(
+      frequency
+        [ (4, map2 (fun key gap -> `Commit (key, gap)) (int_range 0 2)
+                (int_range 1 3));
+          (1, map (fun lag -> `Mark lag) (int_range 0 6)) ])
+  in
+  QCheck2.Test.make ~name:"pstore: matches a list model under watermarks"
+    ~count:200
+    QCheck2.Gen.(list_size (int_range 1 300) op)
+    (fun ops ->
+      let s = Pstore.create () in
+      let model = Array.make 3 [] (* per key, newest first *) in
+      let now = ref 0 and wm = ref 0 in
+      let agrees () =
+        let live = ref 0 in
+        Array.iteri
+          (fun key vs ->
+            for ts = !wm to !now + 1 do
+              let latest =
+                match List.find_opt (fun (t, _) -> t < ts) vs with
+                | Some (t, _) -> t
+                | None -> Time.zero
+              in
+              let value = Option.value (List.assoc_opt ts vs) ~default:(-1) in
+              if Pstore.latest_before s ~key ~ts <> latest then
+                QCheck2.Test.fail_reportf "key %d: latest_before %d" key ts;
+              if Pstore.value_of s ~key ~ts ~fallback:(-1) <> value then
+                QCheck2.Test.fail_reportf "key %d: value_of %d" key ts
+            done;
+            List.iter
+              (fun (t, _) ->
+                if Pstore.latest_before s ~key ~ts:(t + 1) = t then incr live)
+              vs)
+          model;
+        Pstore.version_count s = !live
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | `Commit (key, gap) ->
+            now := !now + gap;
+            Pstore.add_commit s ~key ~ts:!now ~value:(7 * !now);
+            model.(key) <- (!now, 7 * !now) :: model.(key)
+          | `Mark lag ->
+            wm := Int.max !wm (!now - lag);
+            Pstore.set_watermark s (!now - lag));
+          agrees ())
+        ops)
+
 let suite =
   [ Alcotest.test_case "chain: bootstrap" `Quick test_chain_bootstrap;
     Alcotest.test_case "chain: install keeps order" `Quick test_chain_install_order;
@@ -276,4 +336,5 @@ let suite =
     Alcotest.test_case "store: gc and version count" `Quick test_store_gc_and_count;
     Alcotest.test_case "achain: agreement with chain" `Quick test_achain_agrees_with_chain;
     Alcotest.test_case "achain: basics" `Quick test_achain_basics;
-    Alcotest.test_case "single-version store" `Quick test_sv_store ]
+    Alcotest.test_case "single-version store" `Quick test_sv_store;
+    QCheck_alcotest.to_alcotest prop_pstore_model ]

@@ -117,33 +117,33 @@ let test_seqwall_no_tearing () =
   checki "no torn reads" 0 !torn;
   checkb "reader made progress" true (!reads > 0)
 
-(* --- immutable store snapshots --- *)
+(* --- packed store: reads and published views --- *)
 
-let test_store_snapshot () =
-  let module S = Hdd_mvstore.Snapshot in
-  let g = Granule.make ~segment:0 ~key:1 in
-  let s0 = S.empty in
-  checkb "empty has nothing" true (S.latest_before s0 g ~ts:100 = None);
-  let s1 = S.add_commit s0 g ~ts:5 ~value:50 in
-  let s2 = S.add_commit s1 g ~ts:9 ~value:90 in
+let test_pstore_latest_before () =
+  let module S = Hdd_mvstore.Pstore in
+  let s = S.create () in
+  checki "empty reads bootstrap" Time.zero (S.latest_before s ~key:1 ~ts:100);
+  S.add_commit s ~key:1 ~ts:5 ~value:50;
+  let v1 = S.publish s in
+  S.add_commit s ~key:1 ~ts:9 ~value:90;
   check
     (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int))
     "latest below 100" (Some (9, 90))
-    (S.latest_before s2 g ~ts:100);
+    (S.latest_before_pair s ~key:1 ~ts:100);
   check
     (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int))
     "latest below 9" (Some (5, 50))
-    (S.latest_before s2 g ~ts:9);
-  checkb "below oldest" true (S.latest_before s2 g ~ts:5 = None);
-  (* older snapshots are unaffected by later additions *)
-  check
-    (Alcotest.option (Alcotest.pair Alcotest.int Alcotest.int))
-    "s1 frozen" (Some (5, 50))
-    (S.latest_before s1 g ~ts:100);
-  checki "version count" 2 (S.version_count s2);
+    (S.latest_before_pair s ~key:1 ~ts:9);
+  checki "below oldest reads bootstrap" Time.zero
+    (S.latest_before s ~key:1 ~ts:5);
+  (* a published view is unaffected by later commits *)
+  checki "view frozen" 5 (S.view_latest_before v1 ~key:1 ~ts:100);
+  checki "republished view sees the commit" 9
+    (S.view_latest_before (S.publish s) ~key:1 ~ts:100);
+  checki "version count" 2 (S.version_count s);
   checkb "non-monotone ts refused" true
     (try
-       ignore (S.add_commit s2 g ~ts:9 ~value:0);
+       S.add_commit s ~key:1 ~ts:9 ~value:0;
        false
      with Invalid_argument _ -> true)
 
@@ -210,7 +210,27 @@ let test_monitor_any_released () =
 
 (* --- registry snapshot-vs-live equivalence, 1000 seeds --- *)
 
+(* A random in-forest over [n] classes: each class above 0 usually reads
+   one lower-numbered parent, so forks give the wall walk down-arcs. *)
+let forest_partition prng n =
+  let module Spec = Hdd_core.Spec in
+  let types =
+    List.init n (fun i ->
+        let reads =
+          if i > 0 && Hdd_util.Prng.float prng 1. < 0.8 then
+            [ i; Hdd_util.Prng.int prng i ]
+          else [ i ]
+        in
+        Spec.txn_type ~name:(Printf.sprintf "t%d" i) ~writes:[ i ] ~reads)
+  in
+  P.build_exn
+    (Spec.make ~segments:(List.init n (Printf.sprintf "D%d")) ~types)
+
+let snap_i_old snap c m = Registry.snap_i_old snap ~class_id:c ~at:m
+let snap_c_late snap c m = Registry.snap_c_late snap ~class_id:c ~at:m
+
 let test_registry_snapshot_property () =
+  let module A = Hdd_core.Activity in
   let seeds = 1000 in
   for seed = 1 to seeds do
     let prng = Hdd_util.Prng.create seed in
@@ -262,11 +282,60 @@ let test_registry_snapshot_property () =
             Alcotest.failf "seed %d: snap_c_late(%d, %d) diverges" seed c at)
         queries expect
     in
+    (* the one composition kernel, fed live-registry steps and snapshot
+       steps — the scheduler's and the engine/node coordinators' sources:
+       A for every class pair on a critical path and the wall vector, at
+       every argument up to capture *)
+    let partition =
+      forest_partition (Hdd_util.Prng.create (seed + 1_000_003)) classes
+    in
+    let starts = Hdd_core.Timewall.component_starts partition in
+    let pairs =
+      List.concat_map
+        (fun i ->
+          List.filter_map
+            (fun j ->
+              if P.critical_path partition i j <> None then Some (i, j)
+              else None)
+            (List.init classes Fun.id))
+        (List.init classes Fun.id)
+    in
+    let composed i_old c_late src =
+      List.init (capture + 1) (fun m ->
+          ( List.map
+              (fun (i, j) ->
+                A.threshold partition ~i_old src ~from_class:i ~to_class:j m)
+              pairs,
+            A.wall_components partition ~starts ~i_old ~c_late src m ))
+    in
+    let live = composed A.live_i_old A.live_c_late reg in
+    let ctx = A.make_ctx partition reg in
+    List.iteri
+      (fun m (a, wall) ->
+        List.iter2
+          (fun (i, j) th ->
+            if A.a_fn ctx ~from_class:i ~to_class:j m <> th then
+              Alcotest.failf "seed %d: cached A(%d->%d, %d) diverges" seed i
+                j m)
+          pairs a;
+        if Hdd_core.Timewall.compute ctx ~starts ~m <> wall then
+          Alcotest.failf "seed %d: Timewall.compute at %d diverges" seed m)
+      live;
+    let compare_kernel () =
+      List.iteri
+        (fun m (expect, got) ->
+          if expect <> got then
+            Alcotest.failf "seed %d: kernel over snapshot diverges at %d" seed
+              m)
+        (List.combine live (composed snap_i_old snap_c_late snap))
+    in
     compare_snap ();
+    compare_kernel ();
     (* the snapshot is immutable: later registry activity on fresh
        transactions must not change any answer at or below capture *)
     for _ = 1 to 10 do mutate () done;
     compare_snap ();
+    compare_kernel ();
     List.iter
       (fun c ->
         checki "generation frozen at capture"
@@ -624,7 +693,7 @@ let suite =
     Alcotest.test_case "seqwall: no torn reads under concurrent publish"
       `Quick test_seqwall_no_tearing;
     Alcotest.test_case "store snapshot: immutable latest-before" `Quick
-      test_store_snapshot;
+      test_pstore_latest_before;
     Alcotest.test_case "trace: per-domain merge by logical time" `Quick
       test_trace_merge;
     Alcotest.test_case "monitor: Any_released wall rule" `Quick

@@ -511,6 +511,51 @@ let test_forged_backwards_wall () =
   Alcotest.(check (list string))
     "exactly the monitor check fails" [ "monitor-replay" ] (D.failures r)
 
+(* --- malformed packets are refused before they index anything --- *)
+
+let test_node_rejects_malformed () =
+  let partition = D.chain_partition 4 in
+  (* two shards: shard 0 owns D0 and D2, shard 1 owns D1 and D3 *)
+  let nets = Sh.Transport.Loopback.create ~nodes:2 () in
+  let node =
+    Sh.Node.create ~partition ~init:D.default_init ~net:nets.(0) ()
+  in
+  let refused ~src msg =
+    nets.(src).Sh.Transport.send { Sh.Wire.src; dst = 0; stamp = 0; msg };
+    (* refused by the node's own check, not by a bounds failure *)
+    match Sh.Node.pump node with
+    | () -> false
+    | exception Invalid_argument msg -> Fixtures.contains msg "malformed"
+  in
+  let delta ?(src = 1) segment key =
+    refused ~src
+      (Sh.Wire.Delta
+         { dl_shard = src; dl_segment = segment;
+           dl_versions = [ (key, 3, 7) ] })
+  in
+  let read_req segment key =
+    refused ~src:1
+      (Sh.Wire.Read_req { req = 1; segment; key; threshold = 5 })
+  in
+  let unlock segment = refused ~src:1 (Sh.Wire.Unlock { segment }) in
+  List.iter
+    (fun (what, got) -> checkb what true got)
+    [ ("delta into a receiver-owned segment", delta 0 0);
+      ("delta from the receiver itself", delta ~src:0 0 0);
+      ("delta past the last segment", delta 4 0);
+      ("delta with a negative segment", delta (-1) 0);
+      ("delta with a negative key", delta 1 (-1));
+      ("read request for a segment owned elsewhere", read_req 1 0);
+      ("read request past the last segment", read_req 8 0);
+      ("read request with a negative key", read_req 0 (-1));
+      ("unlock of a segment owned elsewhere", unlock 1);
+      ("unlock past the last segment", unlock 4);
+      ( "lock request with a negative segment",
+        refused ~src:1 (Sh.Wire.Lock_req { req = 2; segment = -2 }) ) ];
+  (* well-formed traffic still goes through *)
+  checkb "delta from the owner applied" false (delta 1 0);
+  checkb "read request for an own segment served" false (read_req 2 0)
+
 let suite =
   [ Alcotest.test_case "sclock: strided, unique, gossiped" `Quick test_sclock;
     Alcotest.test_case "codec: 1000-seed round-trip" `Quick
@@ -536,4 +581,6 @@ let suite =
     Alcotest.test_case "forged verdict flip: serial check named" `Quick
       test_forged_verdict_flip;
     Alcotest.test_case "forged backwards wall: monitor check named" `Quick
-      test_forged_backwards_wall ]
+      test_forged_backwards_wall;
+    Alcotest.test_case "node: malformed packets refused" `Quick
+      test_node_rejects_malformed ]
