@@ -70,6 +70,13 @@ let observe h x =
   h.count <- h.count + 1;
   h.sum <- h.sum +. x
 
+let merge ~into h =
+  if into.bounds <> h.bounds then
+    invalid_arg "Metrics.merge: bucket bounds differ";
+  Array.iteri (fun i n -> into.buckets.(i) <- into.buckets.(i) + n) h.buckets;
+  into.count <- into.count + h.count;
+  into.sum <- into.sum +. h.sum
+
 let hist_count h = h.count
 let hist_sum h = h.sum
 

@@ -33,6 +33,13 @@ val histogram : ?buckets:float array -> t -> string -> histogram
     lookup ignores [buckets] and returns the existing histogram. *)
 
 val observe : histogram -> float -> unit
+
+val merge : into:histogram -> histogram -> unit
+(** Add every observation of the second histogram to [into] — per-worker
+    bucket counts folded into one report.  The result equals observing
+    both sample sets into one histogram, up to float rounding of the
+    sum.  @raise Invalid_argument if the bucket bounds differ. *)
+
 val hist_count : histogram -> int
 val hist_sum : histogram -> float
 

@@ -43,6 +43,7 @@ type stats = {
   wall_lag_max : int;
   repartitions : int;
   escalations : int;
+  live_versions : int;
 }
 
 type run = {
@@ -99,6 +100,14 @@ type shared = {
   pubs : pub Atomic.t array;  (* per worker *)
   repub : bool Atomic.t array;  (* per worker: republication requests *)
   wall : Epochwall.t;
+  (* --- live reclamation (DESIGN.md §16) --- *)
+  readers : int array array;
+  (* per segment [s]: the classes [i <> s] that may read [s] — the
+     Protocol A readers whose thresholds pin [s]'s versions *)
+  gc_vec : Time.t array Atomic.t;
+  (* the reclamation watermark vector in effect, replaced (never
+     mutated) by the coordinator once its grace period has passed and
+     applied by each segment's owner at its next publication *)
   (* --- dynamic decomposition (DESIGN.md §17) --- *)
   owner_map : int array Atomic.t;  (* class -> owning worker *)
   epoch : int Atomic.t;  (* partition epoch; bumped per repartition *)
@@ -149,7 +158,7 @@ type wctx = {
   mutable outcomes : (Txn.id * bool) list;
   keep_outcomes : bool;
   mutable since_pub : int;  (* finished transactions since last publication *)
-  mutable last_pruned_m : Time.t;
+  mutable last_pruned : Time.t;
   (* write buffer, reused across transactions: one pending write per
      key (ts = init), flushed into the packed store on commit *)
   mutable wb_keys : int array;
@@ -157,26 +166,76 @@ type wctx = {
   mutable wb_len : int;
   (* scratch for activity-board reads: [state; a_init; i1; e1; i2; e2] *)
   ab : int array;
-  (* commit latencies, timed mode; flat float array, not a list *)
-  mutable lat : float array;
-  mutable lat_n : int;
+  (* commit latencies in microseconds, timed mode: fixed bucket counts,
+     folded across workers at the end of the run *)
+  lat : Hdd_obs.Metrics.histogram;
   timed : bool;
 }
+
+(* The reclamation watermark vector (DESIGN.md §16, "Live
+   reclamation"): [out.(s)] becomes the minimum of [components.(s)] and
+   [A_i^s(m)] over every class [i <> s] that may read [s] ([readers]).
+   [i_old] is the composition kernel's step over the caller's activity
+   source — publications for the coordinator, the live registry for
+   {!alloc_probe}.  Top-level recursion keeps it allocation-free. *)
+let rec min_reader_threshold partition i_old src readers s m j acc =
+  if j >= Array.length readers then acc
+  else
+    let a =
+      Activity.threshold partition ~i_old src
+        ~from_class:(Array.unsafe_get readers j) ~to_class:s m
+    in
+    min_reader_threshold partition i_old src readers s m (j + 1)
+      (Time.min acc a)
+
+let gc_vector_into partition ~readers ~i_old src ~components m out =
+  for s = 0 to Array.length out - 1 do
+    out.(s) <-
+      min_reader_threshold partition i_old src readers.(s) s m 0
+        components.(s)
+  done
+
+let gc_readers partition =
+  let n = P.segment_count partition in
+  Array.init n (fun s ->
+      List.init n Fun.id
+      |> List.filter (fun i ->
+             i <> s && P.may_read partition ~class_id:i ~segment:s)
+      |> Array.of_list)
+
+(* Owner-side maintenance between publications, driven by the vector in
+   effect.  Registry history is pruned below the vector's minimum: an
+   I_old composition only ever descends, so every argument any future
+   threshold, wall or vector computation can pass to a step is at least
+   its own result, which the vector bounds from below.  (The released
+   wall's anchor is not such a bound: A_i^k(m) can reach back to the
+   initiation of a transaction that was still running at m.)  Each owned
+   segment's store watermark rises to its component, so the next commit
+   that fills a key's buffer compacts in place instead of growing it. *)
+let owner_maintain w =
+  let sh = w.sh in
+  let vec = Atomic.get sh.gc_vec in
+  let floor = Array.fold_left Time.min max_int vec in
+  if floor > w.last_pruned then begin
+    w.last_pruned <- floor;
+    Registry.prune w.registry ~upto:(floor - 1)
+  end;
+  let own = w.own_classes in
+  for i = 0 to Array.length own - 1 do
+    let seg = Array.unsafe_get own i in
+    Pstore.set_watermark sh.seg_stores.(seg) (Array.unsafe_get vec seg)
+  done
 
 (* Publication: store views first, activity second — any window the
    published snapshot exposes must already have its versions readable.
    The clock is read before the capture so [upto] never claims more
-   than the snapshot holds.  Registry history below the released wall
-   is pruned here, bounding snapshot cost by the active window rather
-   than the whole run. *)
+   than the snapshot holds.  Maintenance runs first, bounding snapshot
+   cost by the active window rather than the whole run and letting
+   compaction keep every published key range short. *)
 let publish_upto w upto =
   let sh = w.sh in
   Atomic.set sh.repub.(w.me) false;
-  let wall_m = (Epochwall.read sh.wall).TW.m in
-  if wall_m > w.last_pruned_m then begin
-    w.last_pruned_m <- wall_m;
-    Registry.prune w.registry ~upto:(wall_m - 1)
-  end;
+  owner_maintain w;
   let own = w.own_classes in
   for i = 0 to Array.length own - 1 do
     let seg = Array.unsafe_get own i in
@@ -361,15 +420,6 @@ let wb_put w key v =
     w.wb_len <- w.wb_len + 1
   end
 
-let lat_push w v =
-  if w.lat_n = Array.length w.lat then begin
-    let bigger = Array.make (Int.max 64 (2 * w.lat_n)) 0. in
-    Array.blit w.lat 0 bigger 0 w.lat_n;
-    w.lat <- bigger
-  end;
-  w.lat.(w.lat_n) <- v;
-  w.lat_n <- w.lat_n + 1
-
 let rec run_update_ops w d cls init esc ops =
   match ops with
   | [] -> ()
@@ -488,6 +538,7 @@ let exec_update w d cls =
        threshold is at most the init of an active escalated
        transaction, which is below its commit stamp (DESIGN.md §18). *)
     let ts = if esc then Gclock.tick sh.clock else init in
+    let live0 = Pstore.version_count store in
     for i = 0 to w.wb_len - 1 do
       let key = Array.unsafe_get w.wb_keys i in
       let value = Array.unsafe_get w.wb_vals i in
@@ -505,6 +556,13 @@ let exec_update w d cls =
                ts })
       done
     | Some _ | None -> ());
+    (* versions a full buffer compacted away below the watermark *)
+    (match w.trace with
+    | Some tr ->
+      let dropped = live0 + w.wb_len - Pstore.version_count store in
+      if dropped > 0 then
+        T.emit tr ~at:(op_at w) (T.Seg_gc { segment = cls; dropped })
+    | None -> ());
     (* board transition before the end tick: a reader still seeing
        [busy] is guaranteed our end lands above its own initiation *)
     Actboard.set_ending sh.acts cls;
@@ -516,7 +574,8 @@ let exec_update w d cls =
     | None -> ());
     w.c.n_committed <- w.c.n_committed + 1;
     sh.class_commits.(cls) <- sh.class_commits.(cls) + 1;
-    if w.timed then lat_push w (Unix.gettimeofday () -. t0);
+    if w.timed then
+      Hdd_obs.Metrics.observe w.lat ((Unix.gettimeofday () -. t0) *. 1e6);
     if w.keep_outcomes then w.outcomes <- (d.d_id, true) :: w.outcomes
   end;
   (* batched publication: once per K finished transactions; in between,
@@ -674,6 +733,10 @@ let coordinator sh ~primary ~starts ~initial_m ?(plan = []) ?(mode_plan = [])
        else infinity)
   in
   let stuck = ref 0 in
+  (* the reclamation candidate waiting out its grace period: the vector,
+     the tick taken after its wall became visible, and polls waited *)
+  let gc_cand = Array.make nseg Time.zero in
+  let gc_pending = ref false and gc_tick = ref 0 and gc_waited = ref 0 in
   while not (Atomic.get sh.stop) do
     (* repartition requests travel this path: one scripted plan step per
        poll iteration, or a periodic whole-map rotation in timed mode *)
@@ -729,12 +792,11 @@ let coordinator sh ~primary ~starts ~initial_m ?(plan = []) ?(mode_plan = [])
            snapshot: the run is over, a wall there would be meaningless *)
         if m > !last_m && m < max_int then begin
           (* E_s^i(m) over the frozen views *)
+          let cls_pubs = Array.map (Array.get pubs) omap in
           let components =
             match
               Activity.wall_components sh.partition ~starts ~i_old:wall_i_old
-                ~c_late:wall_c_late
-                (Array.map (Array.get pubs) omap)
-                m
+                ~c_late:wall_c_late cls_pubs m
             with
             | Ok components -> components
             | Error _ -> raise Wall_stale
@@ -745,6 +807,17 @@ let coordinator sh ~primary ~starts ~initial_m ?(plan = []) ?(mode_plan = [])
           for i = 0 to nseg - 1 do
             if components.(i) > q_of i then raise Wall_stale
           done;
+          (* commit-stamped versions (DESIGN.md §18): raise each component
+             c to C_late of its own class.  A class runs one transaction
+             at a time, so none of its transactions starts in
+             [c, C_late(c)): the raise admits exactly the versions of
+             transactions initiated below c, including an escalated
+             class's, whose commit stamps can land above c *)
+          for i = 0 to nseg - 1 do
+            match wall_c_late cls_pubs i components.(i) with
+            | Ok c -> components.(i) <- c
+            | Error _ -> raise Wall_stale
+          done;
           let released_at = Gclock.tick sh.clock in
           let wall = TW.make ~s:primary ~m ~components ~released_at in
           Epochwall.publish sh.wall wall;
@@ -754,6 +827,21 @@ let coordinator sh ~primary ~starts ~initial_m ?(plan = []) ?(mode_plan = [])
             T.emit tr ~at:released_at
               (T.Wall_release
                  { m; released_at; components = Array.copy components }));
+          (* the next reclamation candidate, over the same publications:
+             every update transaction with init < m has finished and A
+             is monotone, so no in-flight or future Protocol A read of
+             s names a threshold below A_i^s(m) *)
+          if not !gc_pending then begin
+            match
+              gc_vector_into sh.partition ~readers:sh.readers
+                ~i_old:wall_i_old cls_pubs ~components m gc_cand
+            with
+            | () ->
+              gc_tick := Gclock.tick sh.clock;
+              gc_pending := true;
+              gc_waited := 0
+            | exception Wall_stale -> ()
+          end;
           last_m := m;
           incr releases;
           let lag = released_at - m in
@@ -764,6 +852,42 @@ let coordinator sh ~primary ~starts ~initial_m ?(plan = []) ?(mode_plan = [])
         else m >= max_int
       with Wall_stale -> false
     in
+    (* the grace rule: a candidate takes effect once every worker has
+       published past the tick taken after its wall became visible.
+       Workers never publish inside a read-only transaction, so each
+       has begun every read-only transaction since with that wall or a
+       newer one.  A worker in a read-only streak publishes nothing on
+       its own: after two polls, ask the laggards. *)
+    if !gc_pending then begin
+      let lagging i = (Atomic.get sh.pubs.(i)).p_upto <= !gc_tick in
+      let rec any_lagging i =
+        i < sh.workers && (lagging i || any_lagging (i + 1))
+      in
+      if not (any_lagging 0) then begin
+        gc_pending := false;
+        (* a fresh array: owners may still be reading the previous one *)
+        let vec = Array.copy gc_cand in
+        Atomic.set sh.gc_vec vec;
+        (* owners compact lazily; their drops show as Seg_gc records *)
+        match trace with
+        | None -> ()
+        | Some tr ->
+          T.emit tr ~at:(Gclock.tick sh.clock)
+            (T.Gc
+               { watermark = Array.fold_left Time.min max_int vec;
+                 vector = vec;
+                 dropped = 0 })
+      end
+      else begin
+        incr gc_waited;
+        if !gc_waited >= 2 then begin
+          gc_waited := 0;
+          for i = 0 to sh.workers - 1 do
+            if lagging i then Atomic.set sh.repub.(i) true
+          done
+        end
+      end
+    end;
     (* batched publication bounds how far summaries lag behind the
        clock; when the wall fails to advance for two polls, ask every
        worker to republish rather than waiting out a full batch *)
@@ -847,6 +971,8 @@ let setup ~partition ~init ~workers ~traced ~trace_capacity ~publish_every =
                 p_qmin = (if !owns then upto else max_int) });
       repub = Array.init workers (fun _ -> Atomic.make false);
       wall = Epochwall.create wall0;
+      readers = gc_readers partition;
+      gc_vec = Atomic.make (Array.make nseg Time.zero);
       owner_map = Atomic.make omap0;
       epoch = Atomic.make 0;
       park = Atomic.make false;
@@ -874,6 +1000,8 @@ let setup ~partition ~init ~workers ~traced ~trace_capacity ~publish_every =
   { s_sh = sh; s_regs = regs; s_primary = primary; s_starts = starts;
     s_initial_m = m0; s_coord_trace = coord_trace }
 
+let latency_metric = "commit_latency_us"
+
 let fresh_wctx sh ~me ~registry ~trace ~keep_outcomes ~timed =
   { sh;
     me;
@@ -885,16 +1013,15 @@ let fresh_wctx sh ~me ~registry ~trace ~keep_outcomes ~timed =
     outcomes = [];
     keep_outcomes;
     since_pub = 0;
-    last_pruned_m = Time.zero;
+    last_pruned = Time.zero;
     wb_keys = Array.make 8 0;
     wb_vals = Array.make 8 0;
     wb_len = 0;
     ab = Array.make 6 0;
-    lat = (if timed then Array.make 1024 0. else [||]);
-    lat_n = 0;
+    lat = Hdd_obs.Metrics.histogram (Hdd_obs.Metrics.create ()) latency_metric;
     timed }
 
-let stats_of counters
+let stats_of sh counters
     ~wall:(releases, lag_sum, lag_max, repartitions, escalations) =
   let committed = ref 0 and aborted = ref 0 and pubs = ref 0 in
   let ra = ref 0 and rb = ref 0 and rc = ref 0 and wr = ref 0 in
@@ -919,7 +1046,10 @@ let stats_of counters
     wall_lag_sum = lag_sum;
     wall_lag_max = lag_max;
     repartitions;
-    escalations }
+    escalations;
+    live_versions =
+      Array.fold_left (fun n st -> n + Pstore.version_count st) 0
+        sh.seg_stores }
 
 (* --- script mode --- *)
 
@@ -1041,7 +1171,7 @@ let run_script ~partition ~init ?(plan = []) ?(mode_plan = [])
   in
   { records;
     outcomes;
-    stats = stats_of (Array.map snd results) ~wall:wall_stats }
+    stats = stats_of sh (Array.map snd results) ~wall:wall_stats }
 
 (* --- timed self-generating mode (benchmark) --- *)
 
@@ -1135,7 +1265,7 @@ let run_timed ~partition ~init ~workers ~seconds ?(wall_poll_s = 100e-6)
     done;
     publish_final ctx;
     Atomic.set sh.gone.(w) true;
-    (ctx.c, ctx.lat, ctx.lat_n)
+    (ctx.c, ctx.lat)
   in
   let domains = Array.init workers (fun w -> Domain.spawn (fun () -> worker w)) in
   let coord =
@@ -1151,14 +1281,9 @@ let run_timed ~partition ~init ~workers ~seconds ?(wall_poll_s = 100e-6)
   Atomic.set sh.stop true;
   let wall_stats = Domain.join coord in
   let metrics = Hdd_obs.Metrics.create () in
-  let hist = Hdd_obs.Metrics.histogram metrics "commit_latency_us" in
-  Array.iter
-    (fun (_, lat, lat_n) ->
-      for i = 0 to lat_n - 1 do
-        Hdd_obs.Metrics.observe hist (lat.(i) *. 1e6)
-      done)
-    results;
-  { t_stats = stats_of (Array.map (fun (c, _, _) -> c) results) ~wall:wall_stats;
+  let hist = Hdd_obs.Metrics.histogram metrics latency_metric in
+  Array.iter (fun (_, lat) -> Hdd_obs.Metrics.merge ~into:hist lat) results;
+  { t_stats = stats_of sh (Array.map fst results) ~wall:wall_stats;
     t_elapsed_s = elapsed;
     t_latency = metrics }
 
@@ -1169,24 +1294,30 @@ let run_timed ~partition ~init ~workers ~seconds ?(wall_poll_s = 100e-6)
    Protocol A read of the owned higher segment per transaction (the
    composition kernel on the read path), publication deferred
    (publish_every = max_int), trace off, outcomes off — the pure commit
-   path.  Periodic maintenance (watermark + prune) keeps
-   the packed store and the registry window index at steady capacity so
-   in-place compaction absorbs all growth.
+   path.  Every 256 commits the probe stands in for the coordinator —
+   a wall at [now] over the quiescent single worker, reclaimed through
+   the live path's {!gc_vector_into} over live registry steps — and
+   runs the owner-side {!owner_maintain}, which keeps the packed store
+   and the registry window index at steady capacity so in-place
+   compaction absorbs all growth.
 
    Bytes per commit are measured by differencing an N-commit window and
    a 2N-commit window, which cancels the constant allocation of the
    measurement itself (Gc.allocated_bytes boxes its result). *)
 
-let probe_maintain ctx =
-  let now = Gclock.now ctx.sh.clock in
-  Pstore.set_watermark ctx.sh.seg_stores.(0) now;
-  Registry.prune ctx.registry ~upto:(now - 1)
-
-let rec probe_run ctx descs i n =
+let rec probe_run ctx ~wall ~vec descs i n =
   if i < n then begin
-    if i land 255 = 0 then probe_maintain ctx;
+    if i land 255 = 0 then begin
+      let sh = ctx.sh in
+      let now = Gclock.now sh.clock in
+      Array.fill wall 0 (Array.length wall) now;
+      gc_vector_into sh.partition ~readers:sh.readers
+        ~i_old:Activity.live_i_old ctx.registry ~components:wall now vec;
+      Atomic.set sh.gc_vec vec;
+      owner_maintain ctx
+    end;
     exec_update ctx (Array.unsafe_get descs (i land 7)) 0;
-    probe_run ctx descs (i + 1) n
+    probe_run ctx ~wall ~vec descs (i + 1) n
   end
 
 let alloc_probe ?(commits = 20_000) () =
@@ -1213,11 +1344,13 @@ let alloc_probe ?(commits = 20_000) () =
         { d_id = i + 1; d_kind = `Update 0;
           d_ops = [ Write (g, i); Read g; Read g1 ]; d_abort = false })
   in
+  let nseg = s.s_sh.nseg in
+  let wall = Array.make nseg 0 and vec = Array.make nseg 0 in
   (* reach steady-state capacities before measuring *)
-  probe_run ctx descs 0 4096;
+  probe_run ctx ~wall ~vec descs 0 4096;
   let b0 = Gc.allocated_bytes () in
-  probe_run ctx descs 0 commits;
+  probe_run ctx ~wall ~vec descs 0 commits;
   let b1 = Gc.allocated_bytes () in
-  probe_run ctx descs 0 (2 * commits);
+  probe_run ctx ~wall ~vec descs 0 (2 * commits);
   let b2 = Gc.allocated_bytes () in
   ((b2 -. b1) -. (b1 -. b0)) /. float_of_int commits

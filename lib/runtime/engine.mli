@@ -36,7 +36,9 @@
     classes' [q] at publication time, so a release attempt folds
     O(workers) summaries instead of rescanning every class's history;
     the coordinator evaluates [E_s^i(m)] over the same snapshots,
-    re-checks every component against [q], and releases through a
+    re-checks every component against [q], raises each to [C_late] of
+    its own class (so commit-stamped versions of transactions the wall
+    orders first stay visible, DESIGN.md §18), and releases through a
     wait-free {!Epochwall} (the {!Seqwall} seqlock stays as the
     ablation partner).  Read-only transactions load the wall before
     ticking their initiation, so a released wall always satisfies
@@ -93,6 +95,12 @@ type stats = {
   escalations : int;
       (** live per-class CC mode swaps applied behind the same barrier
           (DESIGN.md §18) *)
+  live_versions : int;
+      (** versions still held by the segment stores at the end of the
+          run ({!Hdd_mvstore.Pstore.version_count} summed over segments)
+          — below [writes] once live reclamation has compacted.  0 for
+          a sharded cluster run: node store sizes do not travel on the
+          wire *)
 }
 
 type run = {
@@ -192,6 +200,37 @@ val run_timed :
     limiting and hysteresis are the controller's responsibility — the
     engine applies whatever it returns. *)
 
+(** {1 Live reclamation}
+
+    After each wall release at anchor [m] the coordinator computes a
+    per-segment reclamation candidate with {!gc_vector_into}, over the
+    same publications the release used.  The candidate takes effect
+    once every worker has published past a tick taken after the wall
+    became visible (the grace rule), and each segment's owner applies
+    it to its store watermark at its next publication (DESIGN.md §16).
+    Traced runs emit {!Hdd_obs.Trace.event.Gc} when a vector takes
+    effect and {!Hdd_obs.Trace.event.Seg_gc} when an owner's compaction
+    drops versions, so {!Hdd_obs.Monitor} checks every collection. *)
+
+val gc_readers : Hdd_core.Partition.t -> int array array
+(** Per segment [s]: the classes [i <> s] that may read [s]. *)
+
+val gc_vector_into :
+  Hdd_core.Partition.t ->
+  readers:int array array ->
+  i_old:('s -> int -> Time.t -> Time.t) ->
+  's ->
+  components:Time.t array ->
+  Time.t ->
+  Time.t array ->
+  unit
+(** [gc_vector_into partition ~readers ~i_old src ~components m out]
+    writes [out.(s) = min (components.(s), min_{i in readers.(s)}
+    A_i^s(m))] for every segment, composing [A] with
+    {!Hdd_core.Activity.threshold} over the step [i_old] on [src].
+    [components] is the released wall's vector and [m] its anchor;
+    [readers] is {!gc_readers}.  Allocation-free. *)
+
 val alloc_probe : ?commits:int -> unit -> float
 (** Marginal heap bytes allocated per committed transaction on the
     steady-state commit path: a single-domain loop over a two-segment
@@ -199,7 +238,9 @@ val alloc_probe : ?commits:int -> unit -> float
     read of the owned higher segment per transaction, so the
     {!Hdd_core.Activity.threshold} kernel is on the measured path;
     publication deferred, trace and outcome recording off) measured via
-    [Gc.allocated_bytes] deltas, with periodic watermark/prune
-    maintenance inside the measured window so in-place compaction
-    absorbs all growth.  The zero-allocation gate in [test_runtime.ml]
-    asserts this is exactly [0.]. *)
+    [Gc.allocated_bytes] deltas.  Every 256 commits inside the measured
+    window the probe computes a reclamation vector for a wall at the
+    current time with {!gc_vector_into} over the live registry and runs
+    the same owner-side maintenance a publication runs, so in-place
+    compaction absorbs all growth.  The zero-allocation gate in
+    [test_runtime.ml] asserts this is exactly [0.]. *)

@@ -34,10 +34,12 @@ let stats_of_counters ks =
         wall_lag_sum = s.E.wall_lag_sum + k.Wire.k_wall_lag_sum;
         wall_lag_max = Int.max s.E.wall_lag_max k.Wire.k_wall_lag_max;
         repartitions = s.E.repartitions;
-        escalations = s.E.escalations })
+        escalations = s.E.escalations;
+        (* nor do node store sizes *)
+        live_versions = s.E.live_versions })
     { E.committed = 0; aborted = 0; reads_a = 0; reads_b = 0; reads_c = 0;
       writes = 0; publications = 0; wall_releases = 0; wall_lag_sum = 0;
-      wall_lag_max = 0; repartitions = 0; escalations = 0 }
+      wall_lag_max = 0; repartitions = 0; escalations = 0; live_versions = 0 }
     ks
 
 let collect nodes =

@@ -147,6 +147,31 @@ let test_metrics_basics () =
     ()
   | _ -> Alcotest.fail "snapshot shape (name-sorted) off"
 
+(* Per-worker latency histograms folded at the end of a timed engine
+   run must report exactly what one histogram observing every raw
+   sample would.  Integer-valued samples keep the float sum exact. *)
+let test_metrics_merge () =
+  let samples =
+    Array.init 5000 (fun i -> Float.of_int ((i * 7919) mod 3_000_000))
+  in
+  let whole_m = Metrics.create () in
+  let whole = Metrics.histogram whole_m "commit_latency_us" in
+  Array.iter (Metrics.observe whole) samples;
+  let parts =
+    Array.init 3 (fun _ -> Metrics.histogram (Metrics.create ()) "part")
+  in
+  Array.iteri (fun i x -> Metrics.observe parts.(i mod 3) x) samples;
+  let folded_m = Metrics.create () in
+  let folded = Metrics.histogram folded_m "commit_latency_us" in
+  Array.iter (fun p -> Metrics.merge ~into:folded p) parts;
+  checkb "folded snapshot equals the raw-sample histogram" true
+    (Metrics.snapshot folded_m = Metrics.snapshot whole_m);
+  checkb "p99 agrees" true (Metrics.p99 folded = Metrics.p99 whole);
+  Alcotest.check_raises "bounds must match"
+    (Invalid_argument "Metrics.merge: bucket bounds differ") (fun () ->
+      Metrics.merge ~into:folded
+        (Metrics.histogram ~buckets:[| 1. |] (Metrics.create ()) "x"))
+
 (* The p999 tail quantile (DESIGN.md §18 SLOs): empty and single-sample
    degenerate cases, and a heavy-tailed histogram where p50 and p99 sit
    in the body but p999 lands in the tail — the case the finer
@@ -442,6 +467,8 @@ let suite =
       test_to_text_deterministic;
     Alcotest.test_case "metrics: counters, gauges, histograms" `Quick
       test_metrics_basics;
+    Alcotest.test_case "metrics: merge equals observing raw samples" `Quick
+      test_metrics_merge;
     Alcotest.test_case "metrics: p999 tail quantile" `Quick
       test_metrics_p999;
     Alcotest.test_case "metrics: the standard event bridge" `Quick

@@ -626,6 +626,179 @@ let test_epochwall_pinned_reader () =
   Domain.join writer;
   checki "no torn or backwards reads" 0 !torn
 
+(* --- live reclamation --- *)
+
+(* The engine's reclamation vector against a brute-force reference over
+   random registry histories (active transactions left in flight): the
+   minimum of each wall component and of A_i^s(x) over every reader
+   class and every argument from the anchor m up to now — the
+   reference does not assume A is monotone, the vector function does. *)
+let prop_gc_vector =
+  QCheck2.Test.make ~name:"engine: gc vector equals brute-force reference"
+    ~count:300 (QCheck2.Gen.int_range 0 100000) (fun seed ->
+      let module A = Hdd_core.Activity in
+      let prng = Hdd_util.Prng.create seed in
+      let classes = 2 + Hdd_util.Prng.int prng 4 in
+      let partition =
+        if Hdd_util.Prng.bool prng then History_gen.chain_partition classes
+        else forest_partition prng classes
+      in
+      let h =
+        History_gen.random ~quiesce:false ~seed
+          ~steps:(10 + Hdd_util.Prng.int prng 50)
+          ~classes ()
+      in
+      let reg = h.History_gen.registry in
+      let now = Time.Clock.now h.History_gen.clock in
+      let m = 1 + Hdd_util.Prng.int prng now in
+      let components =
+        Array.init classes (fun _ -> Hdd_util.Prng.int prng (now + 2))
+      in
+      let out = Array.make classes (-1) in
+      R.Engine.gc_vector_into partition
+        ~readers:(R.Engine.gc_readers partition)
+        ~i_old:A.live_i_old reg ~components m out;
+      let ctx = A.make_ctx partition reg in
+      let expect =
+        Array.mapi
+          (fun s c ->
+            let v = ref c in
+            for i = 0 to classes - 1 do
+              if i <> s && P.may_read partition ~class_id:i ~segment:s then
+                for x = m to now do
+                  v := Int.min !v (A.a_fn ctx ~from_class:i ~to_class:s x)
+                done
+            done;
+            !v)
+          components
+      in
+      out = expect)
+
+(* An engine-shaped collection (one Gc record after the coordinator's
+   walls, Any_released wall rule) must be flagged when its vector
+   passes an in-flight update transaction's initiation or a component
+   a read-only transaction still holds — and pass when it stays below
+   both. *)
+let test_monitor_flags_engine_gc () =
+  let violations evs =
+    let mon =
+      Hdd_obs.Monitor.create ~raise_on_violation:false
+        ~wall_rule:`Any_released ()
+    in
+    List.iteri
+      (fun i ev ->
+        Hdd_obs.Monitor.feed mon { T.seq = i; at = i + 1; dom = 0; ev })
+      evs;
+    Hdd_obs.Monitor.violations mon
+  in
+  let w0 = T.Wall_release { m = 1; released_at = 2; components = [| 3; 3 |] } in
+  let w1 = T.Wall_release { m = 8; released_at = 9; components = [| 8; 8 |] } in
+  let gc vector =
+    T.Gc
+      { watermark = Array.fold_left Int.min max_int vector; vector;
+        dropped = 0 }
+  in
+  let updater = T.Begin { txn = 1; kind = T.Update 0; init = 5 } in
+  let reader = T.Begin { txn = 2; kind = T.Read_only; init = 4 } in
+  let held_read =
+    T.Read { txn = 2; protocol = T.C; segment = 1; key = 0; threshold = 3;
+             version = 0 }
+  in
+  let flagged label evs =
+    checkb label true (violations evs <> [])
+  and clean label evs =
+    check (Alcotest.list Alcotest.string) label [] (violations evs)
+  in
+  clean "vector at the wall, nothing in flight" [ w0; w1; gc [| 8; 8 |] ];
+  flagged "component above an active update txn's init"
+    [ w0; updater; w1; gc [| 8; 8 |] ];
+  clean "component at the active update txn's init"
+    [ w0; updater; w1; gc [| 5; 8 |] ];
+  flagged "component above a held read-only wall component"
+    [ w0; reader; held_read; w1; gc [| 3; 8 |] ];
+  clean "components at the held wall"
+    [ w0; reader; held_read; w1; gc [| 3; 3 |] ]
+
+(* A long script over few keys: the four-check oracle stays green at
+   2/4/8 workers while the coordinator's vectors take effect (Gc records
+   in the trace, replayed by the monitor) and owner compaction keeps
+   the stores below half a version per write.  Without reclamation the
+   stores hold every committed version: 2299 for these 3364 writes. *)
+let test_engine_reclaims_script () =
+  let partition = R.Differential.chain_partition 4 in
+  let script =
+    R.Differential.gen_script ~partition ~seed:11 ~txns:3000
+      ~keys_per_segment:2 ()
+  in
+  List.iter
+    (fun workers ->
+      let run =
+        R.Engine.run_script ~partition ~init:R.Differential.default_init
+          (R.Engine.default_config ~workers) ~script
+      in
+      let r =
+        R.Differential.check_run ~partition ~init:R.Differential.default_init
+          ~script run
+      in
+      ok_or_fail (Printf.sprintf "%d workers" workers) r;
+      let gcs =
+        List.length
+          (List.filter
+             (fun (r : T.record) -> match r.ev with T.Gc _ -> true | _ -> false)
+             run.R.Engine.records)
+      in
+      checkb (Printf.sprintf "%d workers: gc vectors took effect" workers) true
+        (gcs > 0);
+      let s = run.R.Engine.stats in
+      if 2 * s.R.Engine.live_versions > s.R.Engine.writes then
+        Alcotest.failf "%d workers: %d live versions after %d writes" workers
+          s.R.Engine.live_versions s.R.Engine.writes)
+    [ 2; 4; 8 ]
+
+(* Walls over commit-stamped versions: long read-heavy scripts on tree
+   hierarchies with live escalation flips, where a wall component below
+   an escalated writer's commit stamp used to hide a transaction the
+   wall ordered before it (an MVSG cycle through a Protocol C reader).
+   A guard, not a proof: before the coordinator raised each component
+   to C_late of its own class, the oracle failed in about one run of
+   this test in six. *)
+let test_escalated_walls_long () =
+  List.iter
+    (fun seed ->
+      List.iter
+        (fun workers ->
+          let r =
+            R.Differential.stress_one ~seed ~workers ~txns:1500
+              ~profile:R.Differential.Adhoc_read ~escalations:3 ()
+          in
+          ok_or_fail (Printf.sprintf "seed %d, %d workers" seed workers) r)
+        [ 2; 4; 8 ])
+    [ 1; 3; 5; 7 ]
+
+(* Steady state is steady: a run four times as long commits at least
+   three times as much while the stores hold a bounded number of
+   versions. *)
+let test_run_timed_bounded_versions () =
+  let partition = R.Differential.chain_partition 8 in
+  let mix =
+    { R.Engine.ro_frac = 0.1; abort_frac = 0.05; cross_reads = 4;
+      own_ops = 2; keys_per_segment = 16 }
+  in
+  let go seconds =
+    (R.Engine.run_timed ~partition ~init:R.Differential.default_init
+       ~workers:2 ~seconds ~mix ~seed:5 ())
+      .R.Engine.t_stats
+  in
+  let short = go 0.5 in
+  let long = go 2.0 in
+  let c0 = short.R.Engine.committed and c1 = long.R.Engine.committed in
+  let v0 = short.R.Engine.live_versions and v1 = long.R.Engine.live_versions in
+  if c1 < 3 * c0 then
+    Alcotest.failf "committed %d in 2 s vs %d in 0.5 s: throughput fell" c1 c0;
+  if v1 > 2 * Int.max v0 1 then
+    Alcotest.failf "live versions %d after 2 s vs %d after 0.5 s: unbounded"
+      v1 v0
+
 (* --- zero-allocation commit path --- *)
 
 let test_alloc_probe_zero () =
@@ -724,4 +897,13 @@ let suite =
       test_multicore_stress;
     Alcotest.test_case "engine: timed benchmark mode" `Quick
       test_run_timed_smoke;
+    QCheck_alcotest.to_alcotest prop_gc_vector;
+    Alcotest.test_case "monitor: forged engine gc above a held bound" `Quick
+      test_monitor_flags_engine_gc;
+    Alcotest.test_case "engine: script run reclaims with the oracle green"
+      `Quick test_engine_reclaims_script;
+    Alcotest.test_case "engine: timed run keeps versions bounded" `Slow
+      test_run_timed_bounded_versions;
+    Alcotest.test_case "engine: walls over escalated classes, long scripts"
+      `Slow test_escalated_walls_long;
     Alcotest.test_case "parbench: scaling report" `Quick test_parbench_json ]

@@ -400,7 +400,7 @@ let test_golden_traces () =
 let stats_zero =
   { E.committed = 0; aborted = 0; reads_a = 0; reads_b = 0; reads_c = 0;
     writes = 0; publications = 0; wall_releases = 0; wall_lag_sum = 0;
-    wall_lag_max = 0; repartitions = 0; escalations = 0 }
+    wall_lag_max = 0; repartitions = 0; escalations = 0; live_versions = 0 }
 
 let rcd seq at ev = { T.seq; at; dom = 1; ev }
 
