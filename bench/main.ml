@@ -1,19 +1,10 @@
-(* The benchmark harness.
+(* Bechamel microbenchmarks: one [Test.make] per experiment-relevant hot
+   path / ablation (DESIGN.md §6): the activity-link composition and wall
+   vector (E6/E9), the per-protocol read path behind the E10 comparison,
+   version-chain lookups at two chain lengths (storage ablation), the
+   certifier, and the simulator's event queue.  The paper's tables come
+   from [hdd_cli experiments]. *)
 
-   Two halves, matching the deliverables in DESIGN.md:
-
-   1. the experiment harness — regenerates every table/figure of the
-      paper (E1..E13) and prints them with their claim checks;
-   2. Bechamel microbenchmarks — one [Test.make] per experiment-relevant
-      hot path / ablation (DESIGN.md §6): the activity-link composition
-      and wall vector (E6/E9), the per-protocol read path behind the E10
-      comparison, version-chain lookups at two chain lengths (storage
-      ablation), the certifier, and the simulator's event queue.
-
-   Run with [--quick] to skip the microbenchmarks, or pass experiment ids
-   (e.g. [E3 E10]) to restrict part 1. *)
-
-module Experiment = Hdd_experiments.Experiment
 module Scheduler = Hdd_core.Scheduler
 module Activity = Hdd_core.Activity
 module Timewall = Hdd_core.Timewall
@@ -211,26 +202,4 @@ let run_bechamel () =
     tests;
   Hdd_util.Table.print table
 
-let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  let quick = List.mem "--quick" args in
-  let ids = List.filter (fun a -> a <> "--quick") args in
-  let outcomes =
-    match ids with
-    | [] -> Experiment.run_all ()
-    | ids -> List.map Experiment.run ids
-  in
-  List.iter Experiment.print outcomes;
-  let failed = List.filter (fun o -> not (Experiment.passed o)) outcomes in
-  Printf.printf "\n%d/%d experiments passed all claim checks\n"
-    (List.length outcomes - List.length failed)
-    (List.length outcomes);
-  List.iter
-    (fun (o : Experiment.outcome) ->
-      Printf.printf "  FAILED: %s\n" o.Experiment.id)
-    failed;
-  if not quick then begin
-    print_newline ();
-    run_bechamel ()
-  end;
-  if failed <> [] then exit 1
+let () = run_bechamel ()

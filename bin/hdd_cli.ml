@@ -507,446 +507,57 @@ let explore_cmd =
     Term.(const run $ scenario $ system $ exhaustive $ max_schedules $ shrink)
 
 let bench_cmd =
-  let module J = Hdd_benchkit.Jsonlite in
-  let module Macro = Hdd_benchkit.Macro in
+  let module Suite = Hdd_benchkit.Suite in
+  let suites =
+    [ Hdd_benchkit.Macro.hot; Hdd_benchkit.Macro.obs;
+      Hdd_runtime.Parbench.suite; Hdd_storage.Dbench.suite;
+      Hdd_shard.Shardbench.suite; Hdd_adapt.Adaptbench.suite;
+      Hdd_workload.Wbench.suite ]
+  in
+  let suite =
+    Arg.(required
+         & pos 0 (some (enum (List.map (fun s -> (s.Suite.name, s)) suites)))
+             None
+         & info [] ~docv:"SUITE"
+             ~doc:"The benchmark to run: $(b,hot) (hot paths and the \
+                   closed-loop macro), $(b,obs) (always-on \
+                   observability overhead, fails above 3%), \
+                   $(b,parallel) (multicore scaling), $(b,durable) \
+                   (group commit and recovery), $(b,shard) (cross-shard \
+                   reads against 2PC), $(b,adapt) (live repartition) or \
+                   $(b,hybrid) (hybrid CC under contention).")
+  in
   let quick =
     Arg.(value & flag & info [ "quick" ]
-           ~doc:"Shrink fixtures and the closed loop (~10x) for per-push \
-                 CI.")
+           ~doc:"Shrink the run for per-push CI.")
   in
   let out =
     Arg.(value & opt (some string) None & info [ "o"; "out" ]
            ~docv:"FILE"
            ~doc:"Where to write the JSON report (default \
-                 BENCH_hot_paths.json, or BENCH_parallel.json with \
-                 $(b,--parallel)).")
-  in
-  let parallel =
-    Arg.(value & flag & info [ "parallel" ]
-           ~doc:"Run the multicore runtime scaling benchmark instead: \
-                 closed-loop workers at 1, 2, 4 (and all-cores) domains \
-                 on a chain hierarchy, reporting throughput, Protocol A \
-                 read rate, commit-latency quantiles and wall lag \
-                 (BENCH_parallel.json).")
-  in
-  let durable =
-    Arg.(value & flag & info [ "durable" ]
-           ~doc:"Run the durable-engine benchmark instead: group-commit \
-                 throughput, fsyncs/commit and ack latency over the \
-                 max_batch x max_delay knob grid, plus recovery time \
-                 against history length and checkpoint interval \
-                 (BENCH_durable.json).  Structural gates (fsync \
-                 reduction, recovery flatness) always apply; \
-                 $(b,--baseline) additionally gates throughput.")
-  in
-  let adapt =
-    Arg.(value & flag & info [ "adapt" ]
-           ~doc:"Run the live-repartition benchmark instead: the same \
-                 chain workload measured steady, with the coordinator \
-                 applying whole-map ownership rotations behind park \
-                 barriers (live), and with a stop-the-world teardown and \
-                 rebuild at every would-be barrier (BENCH_adapt.json).  \
-                 Structural gates always apply (the live run \
-                 repartitioned, every mode committed, live retention at \
-                 or above the floor); $(b,--baseline) additionally gates \
-                 live throughput retention against the committed report.")
-  in
-  let shard =
-    Arg.(value & flag & info [ "shard" ]
-           ~doc:"Run the cross-shard read benchmark instead: one domain \
-                 per shard over the loopback hub, every transaction \
-                 reading a segment another shard owns — HDD's \
-                 publication-composed thresholds against an in-tree \
-                 2PC-read (lock/read/unlock) baseline \
-                 (BENCH_shard.json).  Structural gates always apply \
-                 (both sides commit, speedup > 1); $(b,--baseline) \
-                 additionally gates the speedup.")
-  in
-  let hybrid =
-    Arg.(value & flag & info [ "hybrid" ]
-           ~doc:"Run the hybrid-CC workload benchmark instead: the \
-                 TPC-C-shaped suite at low and high contention, closed \
-                 loop, across pure HDD, the adaptive hybrid and MV2PL, \
-                 plus an open-loop million-user SLO section \
-                 (BENCH_hybrid.json).  Structural gates always apply \
-                 (every cell committed, the hybrid escalated at the \
-                 high-contention point, hybrid/HDD throughput at or \
-                 above 0.9x low and 1.3x high, SLO quantiles finite and \
-                 ordered); $(b,--baseline) additionally gates the \
-                 high-contention ratio.")
+                 BENCH_$(i,SUITE).json; BENCH_hot_paths.json for \
+                 $(b,hot), BENCH_obs_overhead.json for $(b,obs)).")
   in
   let baseline =
     Arg.(value & opt (some file) None & info [ "baseline" ] ~docv:"FILE"
-           ~doc:"Committed baseline report to gate against.")
-  in
-  let max_regression =
-    Arg.(value & opt float 0.20 & info [ "max-regression" ] ~docv:"FRAC"
-           ~doc:"Fail when a gated throughput metric falls this fraction \
-                 below the baseline.")
+           ~doc:"Committed baseline report: fail when a gated metric is \
+                 missing or fell more than the suite's budget below it.")
   in
   let workers =
     Arg.(value & opt (some (list int)) None & info [ "workers" ]
            ~docv:"W,W,..."
-           ~doc:"With $(b,--parallel): the worker-domain counts to \
-                 measure (default 1,2,4,8, extended with all-cores when \
-                 that exceeds 8).  The nightly 16-domain job passes \
-                 1,2,4,8,16.")
+           ~doc:"For $(b,parallel): the worker-domain counts to measure \
+                 (default 1,2,4,8, extended with all-cores when that \
+                 exceeds 8).")
   in
-  let publish_every =
-    Arg.(value & opt (some int) None & info [ "publish-every" ] ~docv:"K"
-           ~doc:"Publication batch: publish activity once per K finished \
-                 transactions.  With $(b,--parallel) it sets the batch \
-                 of the scaling points (the K-sweep still runs); with \
-                 $(b,--shard) it sets the batched HDD side compared \
-                 against per-commit publication.")
-  in
-  let obs_gate =
-    Arg.(value & opt (some float) None & info [ "obs-gate" ] ~docv:"FRAC"
-           ~doc:"Instead of the full report, measure the closed-loop \
-                 throughput cost of the always-on observability profile \
-                 (metrics registry wired, trace hooks compiled in but the \
-                 ring disabled) versus no trace attached at all, and fail \
-                 when the fraction lost exceeds FRAC (the nightly gate \
-                 uses 0.03).  The cost of tracing fully on (enabled ring \
-                 + metrics bridge) is measured and reported alongside, \
-                 ungated — that is the diagnostic mode, not the always-on \
-                 one.")
-  in
-  let num report keys =
-    match Option.bind (J.path keys report) J.number with
-    | Some f -> f
-    | None -> nan
-  in
-  let run quick out baseline max_regression obs_gate parallel durable adapt
-      shard workers publish_every hybrid =
-    if hybrid then begin
-      let module Wb = Hdd_workload.Wbench in
-      let out = Option.value out ~default:"BENCH_hybrid.json" in
-      let r = Wb.run ~quick () in
-      J.to_file out (Wb.to_json r);
-      Printf.printf "wrote %s\n" out;
-      Format.printf "%a@?" Wb.pp r;
-      (match Wb.gates r with
-      | [] -> ()
-      | problems ->
-        List.iter
-          (fun p -> Printf.printf "HYBRID GATE FAILED: %s\n" p)
-          problems;
-        exit 1);
-      match baseline with
-      | None -> ()
-      | Some path ->
-        let base = J.of_file path in
-        let was =
-          match Option.bind (J.path [ "ratio_high" ] base) J.number with
-          | Some f -> f
-          | None -> nan
-        in
-        let now = r.Wb.w_ratio_high in
-        if was > 0. && now < was *. (1. -. max_regression) then begin
-          Printf.printf "REGRESSION ratio_high: %.2f -> %.2f (-%.0f%%)\n"
-            was now
-            (100. *. (1. -. (now /. was)));
-          exit 1
-        end
-        else
-          Printf.printf "no hybrid regression beyond %.0f%% against %s\n"
-            (100. *. max_regression) path
-    end
-    else if adapt then begin
-      let module Ab = Hdd_adapt.Adaptbench in
-      let out = Option.value out ~default:"BENCH_adapt.json" in
-      let seconds = if quick then 0.25 else 1.0 in
-      let rotate_every_s = if quick then 0.05 else 0.125 in
-      let r = Ab.run ~seconds ~rotate_every_s () in
-      J.to_file out (Ab.to_json r);
-      Printf.printf "wrote %s\n" out;
-      Format.printf "%a@?" Ab.pp r;
-      (match Ab.gates r with
-      | [] -> ()
-      | problems ->
-        List.iter
-          (fun p -> Printf.printf "ADAPT GATE FAILED: %s\n" p)
-          problems;
-        exit 1);
-      match baseline with
-      | None -> ()
-      | Some path ->
-        let base = J.of_file path in
-        let was =
-          match Option.bind (J.path [ "retention_live" ] base) J.number with
-          | Some f -> f
-          | None -> nan
-        in
-        let now = r.Ab.a_retention_live in
-        if was > 0. && now < was *. (1. -. max_regression) then begin
-          Printf.printf
-            "REGRESSION retention_live: %.2f -> %.2f (-%.0f%%)\n" was now
-            (100. *. (1. -. (now /. was)));
-          exit 1
-        end
-        else
-          Printf.printf "no adapt regression beyond %.0f%% against %s\n"
-            (100. *. max_regression) path
-    end
-    else if shard then begin
-      let module Sb = Hdd_shard.Shardbench in
-      let out = Option.value out ~default:"BENCH_shard.json" in
-      let seconds = if quick then 0.25 else 1.0 in
-      let r = Sb.run ~seconds ?publish_every () in
-      J.to_file out (Sb.to_json r);
-      Printf.printf "wrote %s\n" out;
-      Format.printf "%a@?" Sb.pp r;
-      (match Sb.gates r with
-      | [] -> ()
-      | problems ->
-        List.iter
-          (fun p -> Printf.printf "SHARD GATE FAILED: %s\n" p)
-          problems;
-        exit 1);
-      match baseline with
-      | None -> ()
-      | Some path ->
-        let base = J.of_file path in
-        let was =
-          match Option.bind (J.path [ "speedup" ] base) J.number with
-          | Some f -> f
-          | None -> nan
-        in
-        let now = r.Sb.r_speedup in
-        if was > 0. && now < was *. (1. -. max_regression) then begin
-          Printf.printf "REGRESSION speedup: %.2fx -> %.2fx (-%.0f%%)\n" was
-            now
-            (100. *. (1. -. (now /. was)));
-          exit 1
-        end
-        else
-          Printf.printf "no shard regression beyond %.0f%% against %s\n"
-            (100. *. max_regression) path
-    end
-    else if durable then begin
-      let module Dbench = Hdd_storage.Dbench in
-      let out = Option.value out ~default:"BENCH_durable.json" in
-      let report = Dbench.run ~quick () in
-      J.to_file out report;
-      Printf.printf "wrote %s\n" out;
-      let num keys = num report keys in
-      Printf.printf
-        "group commit: fsync reduction at batch=8: %.1fx; recovery tail \
-         flatness: %.2f\n"
-        (num [ "group_commit"; "fsync_reduction_at_8" ])
-        (num [ "recovery"; "recovery_tail_flatness" ]);
-      (match J.path [ "group_commit"; "grid" ] report with
-      | Some (J.List cells) ->
-        List.iter
-          (fun c ->
-            let n keys =
-              match Option.bind (J.path keys c) J.number with
-              | Some f -> f
-              | None -> nan
-            in
-            Printf.printf
-              "  batch=%2.0f delay=%2.0f: %8.0f txns/sec, %.3f \
-               fsyncs/commit, ack p50 %.0fus p99 %.0fus\n"
-              (n [ "max_batch" ]) (n [ "max_delay" ])
-              (n [ "txns_per_sec" ])
-              (n [ "fsyncs_per_commit" ])
-              (n [ "ack_p50_us" ]) (n [ "ack_p99_us" ]))
-          cells
-      | _ -> ());
-      (match Dbench.gates report with
-      | [] -> ()
-      | problems ->
-        List.iter (fun p -> Printf.printf "DURABLE GATE FAILED: %s\n" p) problems;
-        exit 1);
-      match baseline with
-      | None -> ()
-      | Some path ->
-        let base = J.of_file path in
-        let cell_throughput doc b d =
-          match J.path [ "group_commit"; "grid" ] doc with
-          | Some (J.List cells) ->
-            List.find_map
-              (fun c ->
-                let n keys = Option.bind (J.path keys c) J.number in
-                match (n [ "max_batch" ], n [ "max_delay" ]) with
-                | Some b', Some d'
-                  when int_of_float b' = b && int_of_float d' = d ->
-                  n [ "txns_per_sec" ]
-                | _ -> None)
-              cells
-          | _ -> None
-        in
-        let regressions =
-          List.filter_map
-            (fun (b, d) ->
-              match
-                (cell_throughput base b d, cell_throughput report b d)
-              with
-              | Some was, Some now
-                when now < was *. (1. -. max_regression) ->
-                Some (Printf.sprintf "batch=%d delay=%d" b d, was, now)
-              | _ -> None)
-            [ (0, 0); (8, 16); (32, 64) ]
-        in
-        (match regressions with
-        | [] ->
-          Printf.printf "no durable regression beyond %.0f%% against %s\n"
-            (100. *. max_regression) path
-        | rs ->
-          List.iter
-            (fun (metric, was, now) ->
-              Printf.printf "REGRESSION %s: %.0f -> %.0f txns/sec (-%.0f%%)\n"
-                metric was now
-                (100. *. (1. -. (now /. was))))
-            rs;
-          exit 1)
-    end
-    else if parallel then begin
-      let module Pb = Hdd_runtime.Parbench in
-      let out = Option.value out ~default:"BENCH_parallel.json" in
-      let seconds = if quick then 0.2 else 1.0 in
-      let ksweep = if quick then [ 1; 16 ] else [ 1; 4; 16; 64 ] in
-      let r =
-        Pb.run ?workers_list:workers ?publish_every ~ksweep ~seconds ()
-      in
-      J.to_file out (Pb.to_json r);
-      Printf.printf "wrote %s\n" out;
-      Format.printf "%a@?" Pb.pp r;
-      (match Pb.gates r with
-      | [] -> ()
-      | problems ->
-        List.iter
-          (fun p -> Printf.printf "PARALLEL GATE FAILED: %s\n" p)
-          problems;
-        exit 1);
-      match baseline with
-      | None -> ()
-      | Some path ->
-        let base = J.of_file path in
-        let fail = ref false in
-        let gate name was now =
-          if was > 0. && now < was *. (1. -. max_regression) then begin
-            Printf.printf "REGRESSION %s: %.0f -> %.0f (-%.0f%%)\n" name
-              was now
-              (100. *. (1. -. (now /. was)));
-            fail := true
-          end
-        in
-        (* per-worker-count A-read rates, matched by workers *)
-        let base_rate w =
-          match J.path [ "points" ] base with
-          | Some (J.List pts) ->
-            List.find_map
-              (fun p ->
-                match
-                  (Option.bind (J.path [ "workers" ] p) J.number,
-                   Option.bind (J.path [ "reads_a_per_s" ] p) J.number)
-                with
-                | Some bw, Some rate when int_of_float bw = w -> Some rate
-                | _ -> None)
-              pts
-          | _ -> None
-        in
-        List.iter
-          (fun pt ->
-            match base_rate pt.Pb.b_workers with
-            | Some was ->
-              gate
-                (Printf.sprintf "reads_a_per_s at %d workers"
-                   pt.Pb.b_workers)
-                was pt.Pb.b_reads_a_per_s
-            | None -> ())
-          r.Pb.r_points;
-        (match
-           ( Option.bind
-               (J.path [ "cross_read_scaling_1_to_8" ] base)
-               J.number,
-             r.Pb.r_scaling_1_to_8 )
-         with
-        | Some was, Some now ->
-          if was > 0. && now < was *. (1. -. max_regression) then begin
-            Printf.printf
-              "REGRESSION cross_read_scaling_1_to_8: %.2fx -> %.2fx\n" was
-              now;
-            fail := true
-          end
-        | _ -> ());
-        if !fail then exit 1
-        else
-          Printf.printf "no parallel regression beyond %.0f%% against %s\n"
-            (100. *. max_regression) path
-    end
-    else
-    let out = Option.value out ~default:"BENCH_hot_paths.json" in
-    match obs_gate with
-    | Some limit ->
-      let r = Macro.obs_overhead ~quick () in
-      J.to_file out r;
-      let v keys = num r keys in
-      let overhead = v [ "disabled_overhead_frac" ] in
-      Printf.printf
-        "observability off: %.0f txns/sec, compiled-in disabled: %.0f \
-         txns/sec (overhead %.2f%%, limit %.2f%%), fully on: %.0f \
-         txns/sec (overhead %.2f%%, ungated)\n"
-        (v [ "off_txns_per_sec" ])
-        (v [ "disabled_txns_per_sec" ])
-        (100. *. overhead) (100. *. limit)
-        (v [ "on_txns_per_sec" ])
-        (100. *. v [ "overhead_frac" ]);
-      if overhead > limit then begin
-        Printf.printf "OBSERVABILITY OVERHEAD GATE FAILED\n";
-        exit 1
-      end
-    | None ->
-    let report = Macro.run ~quick () in
-    J.to_file out report;
-    Printf.printf "wrote %s\n" out;
-    Printf.printf "cross-class read: %.0f -> %.0f ops/sec (%.1fx)\n"
-      (num report [ "hot_paths"; "cross_class_read"; "before_ops_per_sec" ])
-      (num report [ "hot_paths"; "cross_class_read"; "after_ops_per_sec" ])
-      (num report [ "hot_paths"; "cross_class_read"; "speedup" ]);
-    List.iter
-      (fun path ->
-        Printf.printf "%-26s %.1fx\n"
-          (String.concat "." path)
-          (num report (path @ [ "speedup" ])))
-      [ [ "hot_paths"; "registry_i_old" ];
-        [ "hot_paths"; "partition_critical_path" ];
-        [ "hot_paths"; "activity_links" ];
-        [ "hot_paths"; "chain_lookup" ] ];
-    Printf.printf "macro: %.0f ops/sec, %.0f txns/sec (A p99 %.1fus, B \
-                   p99 %.1fus, C p99 %.1fus)\n"
-      (num report [ "macro"; "ops_per_sec" ])
-      (num report [ "macro"; "txns_per_sec" ])
-      (num report [ "macro"; "protocol_A"; "p99_us" ])
-      (num report [ "macro"; "protocol_B"; "p99_us" ])
-      (num report [ "macro"; "protocol_C"; "p99_us" ]);
-    match baseline with
-    | None -> ()
-    | Some path -> (
-      let base = J.of_file path in
-      match Macro.regressions ~baseline:base ~current:report ~max_regression with
-      | [] ->
-        Printf.printf "no regression beyond %.0f%% against %s\n"
-          (100. *. max_regression) path
-      | rs ->
-        List.iter
-          (fun (metric, b, c) ->
-            Printf.printf "REGRESSION %s: %.0f -> %.0f (-%.0f%%)\n" metric b
-              c
-              (100. *. (1. -. (c /. b))))
-          rs;
-        exit 1)
+  let run suite quick out baseline workers =
+    exit (Suite.main suite ~quick ~out ~baseline ~workers)
   in
   Cmd.v
     (Cmd.info "bench"
-       ~doc:"Run the hot-path macro-benchmark, write BENCH_hot_paths.json, \
-             and optionally gate against a committed baseline")
-    Term.(
-      const run $ quick $ out $ baseline $ max_regression $ obs_gate
-      $ parallel $ durable $ adapt $ shard $ workers $ publish_every
-      $ hybrid)
+       ~doc:"Run one benchmark suite, write its JSON report, apply its \
+             gates and optionally gate against a committed baseline")
+    Term.(const run $ suite $ quick $ out $ baseline $ workers)
 
 let trace_cmd =
   let module Obs_export = Hdd_benchkit.Obs_export in

@@ -131,5 +131,17 @@ let pp ppf r =
   Format.fprintf ppf "  %-16s %12.0f %12d %14s@." "stop-the-world"
     r.a_stw_txn_per_s r.a_stw_committed
     (Printf.sprintf "%d restarts" r.a_stw_restarts);
-  Format.fprintf ppf "  retention: live %.2f, stop-the-world %.2f (floor %.2f)"
+  Format.fprintf ppf "  retention: live %.2f, stop-the-world %.2f (floor %.2f)@."
     r.a_retention_live r.a_retention_stw retention_floor
+
+let suite =
+  { Hdd_benchkit.Suite.name = "adapt";
+    out = "BENCH_adapt.json";
+    budget = 0.20;
+    run =
+      (fun ~quick ~workers:_ ->
+        let seconds = if quick then 0.25 else 1.0 in
+        let rotate_every_s = if quick then 0.05 else 0.125 in
+        Hdd_benchkit.Suite.of_result ~to_json ~pp ~gates
+          (run ~seconds ~rotate_every_s ()));
+    gated = Hdd_benchkit.Suite.metric [ "retention_live" ] }

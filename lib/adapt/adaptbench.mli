@@ -1,4 +1,4 @@
-(** The live-repartition benchmark ([hdd_cli bench --adapt]).
+(** The live-repartition benchmark ([hdd_cli bench adapt]).
 
     Measures what a decomposition repair costs while the multicore
     engine is serving traffic, three ways on the same chain hierarchy,
@@ -59,3 +59,7 @@ val gates : result -> string list
 
 val to_json : result -> Hdd_benchkit.Jsonlite.t
 val pp : Format.formatter -> result -> unit
+
+val suite : Hdd_benchkit.Suite.t
+(** [hdd_cli bench adapt]: {!run} (quick: 0.25 s per mode, a rotation
+    every 0.05 s), {!gates}, and a 20% budget on [retention_live]. *)

@@ -253,3 +253,6 @@ let rec path keys v =
   | k :: rest -> ( match member k v with Some v -> path rest v | None -> None)
 
 let number = function Num f -> Some f | _ -> None
+
+let number_at keys v =
+  Option.value (Option.bind (path keys v) number) ~default:nan

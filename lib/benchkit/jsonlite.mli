@@ -48,3 +48,6 @@ val path : string list -> t -> t option
 (** Nested {!member}. *)
 
 val number : t -> float option
+
+val number_at : string list -> t -> float
+(** The number at a {!path}; [nan] when absent or not a number. *)

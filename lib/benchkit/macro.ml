@@ -27,11 +27,6 @@ let ns_per_op f =
 
 let ops_per_sec ns = 1e9 /. ns
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0.
-  else sorted.(Int.min (n - 1) (p * n / 100))
-
 (* --- the pre-PR cross-class threshold: per-call DFS + registry scan --- *)
 
 let legacy_a_fn (ctx : Activity.ctx) ~from_class ~to_class m =
@@ -156,8 +151,8 @@ let bucket_json b =
   J.Obj
     [ ("txns", J.num_of_int b.txns);
       ("ops", J.num_of_int b.ops_done);
-      ("p50_us", J.Num (us (percentile lat 50)));
-      ("p99_us", J.Num (us (percentile lat 99))) ]
+      ("p50_us", J.Num (us (Hdd_util.Stats.percentile_sorted lat 50.)));
+      ("p99_us", J.Num (us (Hdd_util.Stats.percentile_sorted lat 99.))) ]
 
 let macro ?trace ~quick () =
   let depth = 8 in
@@ -298,8 +293,7 @@ let run ?(quick = false) () =
   J.with_schema
     [ ( "meta",
         J.Obj
-          [ ("schema", J.num_of_int 1);
-            ("quick", J.Bool quick);
+          [ ("quick", J.Bool quick);
             ("depth", J.num_of_int 8);
             ( "note",
               J.Str
@@ -347,22 +341,76 @@ let obs_overhead ?(quick = false) ?(runs = 3) () =
       ("disabled_overhead_frac", J.Num (frac disabled));
       ("overhead_frac", J.Num (frac on)) ]
 
-(* --- the regression gate --- *)
+(* --- the two suites --- *)
 
-let gated_metrics =
-  [ [ "macro"; "ops_per_sec" ];
-    [ "macro"; "txns_per_sec" ];
-    [ "hot_paths"; "cross_class_read"; "after_ops_per_sec" ] ]
+let print_hot report ppf =
+  let num keys = J.number_at keys report in
+  Format.fprintf ppf "cross-class read: %.0f -> %.0f ops/sec (%.1fx)@."
+    (num [ "hot_paths"; "cross_class_read"; "before_ops_per_sec" ])
+    (num [ "hot_paths"; "cross_class_read"; "after_ops_per_sec" ])
+    (num [ "hot_paths"; "cross_class_read"; "speedup" ]);
+  List.iter
+    (fun path ->
+      Format.fprintf ppf "%-26s %.1fx@." (String.concat "." path)
+        (num (path @ [ "speedup" ])))
+    [ [ "hot_paths"; "registry_i_old" ];
+      [ "hot_paths"; "partition_critical_path" ];
+      [ "hot_paths"; "activity_links" ];
+      [ "hot_paths"; "chain_lookup" ] ];
+  Format.fprintf ppf
+    "macro: %.0f ops/sec, %.0f txns/sec (A p99 %.1fus, B p99 %.1fus, C \
+     p99 %.1fus)@."
+    (num [ "macro"; "ops_per_sec" ])
+    (num [ "macro"; "txns_per_sec" ])
+    (num [ "macro"; "protocol_A"; "p99_us" ])
+    (num [ "macro"; "protocol_B"; "p99_us" ])
+    (num [ "macro"; "protocol_C"; "p99_us" ])
 
-let regressions ~baseline ~current ~max_regression =
-  List.filter_map
-    (fun keys ->
-      match
-        ( Option.bind (J.path keys baseline) J.number,
-          Option.bind (J.path keys current) J.number )
-      with
-      | Some base, Some cur
-        when cur < base *. (1. -. max_regression) ->
-        Some (String.concat "." keys, base, cur)
-      | _ -> None)
-    gated_metrics
+let hot =
+  { Suite.name = "hot";
+    out = "BENCH_hot_paths.json";
+    budget = 0.20;
+    run =
+      (fun ~quick ~workers:_ ->
+        let report = run ~quick () in
+        { Suite.report; print = print_hot report; problems = [] });
+    gated =
+      (fun report ->
+        List.concat_map
+          (fun keys -> Suite.metric keys report)
+          [ [ "macro"; "ops_per_sec" ];
+            [ "macro"; "txns_per_sec" ];
+            [ "hot_paths"; "cross_class_read"; "after_ops_per_sec" ] ]) }
+
+let obs_limit = 0.03
+
+let obs_gates report =
+  let overhead = J.number_at [ "disabled_overhead_frac" ] report in
+  if overhead > obs_limit then
+    [ Printf.sprintf "disabled_overhead_frac %.4f above %.2f" overhead
+        obs_limit ]
+  else []
+
+let print_obs report ppf =
+  let v keys = J.number_at keys report in
+  Format.fprintf ppf
+    "observability off: %.0f txns/sec, compiled-in disabled: %.0f \
+     txns/sec (overhead %.2f%%, limit %.2f%%), fully on: %.0f txns/sec \
+     (overhead %.2f%%, ungated)@."
+    (v [ "off_txns_per_sec" ])
+    (v [ "disabled_txns_per_sec" ])
+    (100. *. v [ "disabled_overhead_frac" ])
+    (100. *. obs_limit)
+    (v [ "on_txns_per_sec" ])
+    (100. *. v [ "overhead_frac" ])
+
+let obs =
+  { Suite.name = "obs";
+    out = "BENCH_obs_overhead.json";
+    budget = 0.;
+    run =
+      (fun ~quick ~workers:_ ->
+        let report = obs_overhead ~quick () in
+        { Suite.report; print = print_obs report;
+          problems = obs_gates report });
+    gated = (fun _ -> []) }

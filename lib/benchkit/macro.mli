@@ -1,4 +1,5 @@
-(** The hot-path macro-benchmark behind [hdd_cli bench].
+(** The hot-path macro-benchmark behind [hdd_cli bench hot] and
+    [hdd_cli bench obs].
 
     Two halves, one JSON report ([BENCH_hot_paths.json]):
 
@@ -18,39 +19,23 @@
       chain-length / registry-size telemetry — the steady state the
       wall-driven GC is supposed to keep bounded. *)
 
-val ns_per_op : (unit -> 'a) -> float
-(** Adaptive timing loop: at least 20 ms of work per measurement. *)
+val hot : Suite.t
+(** [hdd_cli bench hot]: the report above, no intrinsic gate, and a 20%
+    budget on [macro.ops_per_sec], [macro.txns_per_sec] and
+    [hot_paths.cross_class_read.after_ops_per_sec].  The closed loop's
+    telemetry ships under [macro.metrics]. *)
 
-val legacy_a_fn :
-  Hdd_core.Activity.ctx -> from_class:int -> to_class:int -> Time.t -> Time.t
-(** The pre-PR activity-link composition: per-call DFS over the
-    reduction, registry scans at every step.  Oracle-checked against
-    {!Hdd_core.Activity.a_fn} before every timed run. *)
+val obs_limit : float
+(** 0.03: the largest fraction of closed-loop throughput the always-on
+    observability profile may cost. *)
 
-val run : ?quick:bool -> unit -> Jsonlite.t
-(** The full report.  [quick] shrinks the fixtures and the closed loop
-    (~10x) for per-push CI.  The closed loop's telemetry (commits,
-    blocked/rejected aborts) is counted through {!Hdd_obs.Metrics} and
-    the report carries the registry snapshot under [macro.metrics]. *)
+val obs_gates : Jsonlite.t -> string list
+(** The problem when an obs report's [disabled_overhead_frac] exceeds
+    {!obs_limit}; [[]] otherwise. *)
 
-val obs_overhead : ?quick:bool -> ?runs:int -> unit -> Jsonlite.t
-(** Run the closed-loop macro three ways — no trace attached, trace
-    attached but disabled (the always-on profile: hooks compiled in,
-    metrics registry wired, ring off) and tracing fully on (enabled ring
-    + the standard metrics bridge) — best-of-[runs] (default 3) per
-    side, rounds interleaved against machine-load swings.  Reports
-    [{off_txns_per_sec; disabled_txns_per_sec; on_txns_per_sec;
-    disabled_overhead_frac; overhead_frac}]; [disabled_overhead_frac] is
-    the number the nightly <3% gate checks, the fully-on figure is
-    published ungated (it is the diagnostic mode, and on transactions
-    this cheap it costs ~8%). *)
-
-val regressions :
-  baseline:Jsonlite.t ->
-  current:Jsonlite.t ->
-  max_regression:float ->
-  (string * float * float) list
-(** Gated throughput metrics whose current value fell more than
-    [max_regression] (a fraction) below the baseline:
-    [(metric, baseline, current)].  Metrics missing on either side are
-    skipped — the gate never fails on schema drift alone. *)
+val obs : Suite.t
+(** [hdd_cli bench obs]: the closed loop three ways, best of 3 per side
+    with the rounds interleaved — no trace, trace attached but disabled
+    (the always-on profile) and tracing fully on — gated by
+    {!obs_gates}; the fully-on cost is reported ungated.  No baseline
+    metric. *)

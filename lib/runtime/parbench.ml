@@ -226,3 +226,29 @@ let pp ppf r =
   sc "1 -> 4 workers" r.r_scaling_1_to_4;
   sc "1 -> 8 workers" r.r_scaling_1_to_8;
   sc "1 -> 16 workers" r.r_scaling_1_to_16
+
+let suite =
+  { Hdd_benchkit.Suite.name = "parallel";
+    out = "BENCH_parallel.json";
+    budget = 0.50;
+    run =
+      (fun ~quick ~workers ->
+        let seconds = if quick then 0.2 else 1.0 in
+        let ksweep = if quick then [ 1; 16 ] else [ 1; 4; 16; 64 ] in
+        Hdd_benchkit.Suite.of_result ~to_json ~pp ~gates
+          (run ?workers_list:workers ~ksweep ~seconds ()));
+    gated =
+      (fun report ->
+        let metric = Hdd_benchkit.Suite.metric in
+        let per_worker p =
+          match Option.bind (J.member "workers" p) J.number with
+          | Some w ->
+            metric
+              ~name:(Printf.sprintf "reads_a_per_s at %.0f workers" w)
+              [ "reads_a_per_s" ] p
+          | None -> []
+        in
+        (match J.member "points" report with
+        | Some (J.List points) -> List.concat_map per_worker points
+        | _ -> [])
+        @ metric [ "cross_read_scaling_1_to_8" ] report) }

@@ -1,5 +1,5 @@
 (** Scaling benchmark for the parallel runtime ([hdd_cli bench
-    --parallel]).
+    parallel]).
 
     Runs the untraced closed-loop engine ({!Engine.run_timed}) on a
     chain hierarchy at increasing worker-domain counts and reports, per
@@ -80,3 +80,8 @@ val to_json : result -> Hdd_benchkit.Jsonlite.t
 (** Schema-versioned report ({!Hdd_benchkit.Jsonlite.with_schema}). *)
 
 val pp : Format.formatter -> result -> unit
+
+val suite : Hdd_benchkit.Suite.t
+(** [hdd_cli bench parallel]: {!run} over [--workers] (quick: 0.2 s per
+    point, K-sweep [[1; 16]]), {!gates}, and a 50% budget on
+    [reads_a_per_s] per worker count and [cross_read_scaling_1_to_8]. *)

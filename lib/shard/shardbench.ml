@@ -24,16 +24,6 @@ type result = {
   r_batch_delta_p50_us : float option;
 }
 
-(* closed-loop per-transaction latency quantile over the merged
-   per-shard samples (each sample is one full exec+pump round trip) *)
-let quantile samples p =
-  let n = Array.length samples in
-  if n = 0 then 0.
-  else begin
-    Array.sort compare samples;
-    samples.(Int.min (n - 1) (int_of_float (p *. float_of_int (n - 1))))
-  end
-
 let max_samples = 1 lsl 16
 
 (* One closed loop per shard domain, every transaction one own-segment
@@ -113,7 +103,11 @@ let bench_side ~mode ~shards ~seconds ~cross ~keys ~publish_every () =
   Atomic.set stop true;
   let joined = Array.map Domain.join doms in
   let nodes = Array.map fst joined in
+  (* closed-loop per-transaction latency over the merged per-shard
+     samples (each sample is one full exec+pump round trip) *)
   let lats = Array.concat (Array.to_list (Array.map snd joined)) in
+  Array.sort compare lats;
+  let quantile = Hdd_util.Stats.percentile_sorted lats in
   let sum f = Array.fold_left (fun a n -> a + f (Node.counters n)) 0 nodes in
   let txns = sum (fun k -> k.Wire.k_committed) in
   let reads = sum (fun k -> k.Wire.k_reads_a) in
@@ -121,9 +115,9 @@ let bench_side ~mode ~shards ~seconds ~cross ~keys ~publish_every () =
     s_cross_reads = reads;
     s_txns_per_sec = float_of_int txns /. seconds;
     s_cross_reads_per_sec = float_of_int reads /. seconds;
-    s_lat_p50_us = quantile lats 0.5;
-    s_lat_p95_us = quantile lats 0.95;
-    s_lat_p99_us = quantile lats 0.99 }
+    s_lat_p50_us = quantile 50.;
+    s_lat_p95_us = quantile 95.;
+    s_lat_p99_us = quantile 99. }
 
 let run ?(shards = 4) ?(seconds = 1.0) ?(cross = 4) ?(keys = 64)
     ?(publish_every = 8) () =
@@ -222,3 +216,13 @@ let pp ppf r =
       r.r_publish_every b.s_txns_per_sec b.s_lat_p50_us b.s_lat_p95_us
       b.s_lat_p99_us
       (Option.value ~default:0. r.r_batch_delta_p50_us)
+
+let suite =
+  { Hdd_benchkit.Suite.name = "shard";
+    out = "BENCH_shard.json";
+    budget = 0.20;
+    run =
+      (fun ~quick ~workers:_ ->
+        Hdd_benchkit.Suite.of_result ~to_json ~pp ~gates
+          (run ~seconds:(if quick then 0.25 else 1.0) ()));
+    gated = Hdd_benchkit.Suite.metric [ "speedup" ] }

@@ -6,10 +6,6 @@ module Outcome = Hdd_core.Outcome
    every class busy. *)
 let partition () = Hdd_benchkit.Fixtures.chain_partition 3
 
-let percentile sorted p =
-  let n = Array.length sorted in
-  if n = 0 then 0. else sorted.(Int.min (n - 1) (p * n / 100))
-
 let us s = s *. 1e6
 
 (* One closed-loop committer: [txns] single-write update transactions,
@@ -101,8 +97,8 @@ let commit_cell ~dir ~txns ~knob =
     txns_per_sec = float_of_int txns /. elapsed;
     fsyncs;
     fsyncs_per_commit = float_of_int fsyncs /. float_of_int txns;
-    p50_us = us (percentile lat 50);
-    p99_us = us (percentile lat 99) }
+    p50_us = us (Hdd_util.Stats.percentile_sorted lat 50.);
+    p99_us = us (Hdd_util.Stats.percentile_sorted lat 99.) }
 
 let knob_grid =
   [ None;
@@ -278,3 +274,54 @@ let gates report =
         with history length (should track the tail)"
        flatness);
   List.rev !problems
+
+let grid report =
+  match J.path [ "group_commit"; "grid" ] report with
+  | Some (J.List cells) -> cells
+  | _ -> []
+
+let print report ppf =
+  let num = J.number_at in
+  Format.fprintf ppf
+    "group commit: fsync reduction at batch=8: %.1fx; recovery tail \
+     flatness: %.2f@."
+    (num [ "group_commit"; "fsync_reduction_at_8" ] report)
+    (num [ "recovery"; "recovery_tail_flatness" ] report);
+  List.iter
+    (fun c ->
+      Format.fprintf ppf
+        "  batch=%2.0f delay=%2.0f: %8.0f txns/sec, %.3f fsyncs/commit, \
+         ack p50 %.0fus p99 %.0fus@."
+        (num [ "max_batch" ] c) (num [ "max_delay" ] c)
+        (num [ "txns_per_sec" ] c)
+        (num [ "fsyncs_per_commit" ] c)
+        (num [ "ack_p50_us" ] c) (num [ "ack_p99_us" ] c))
+    (grid report)
+
+(* the sync-per-commit cell, the default batch window and the widest *)
+let gated_cells = [ (0, 0); (8, 16); (32, 64) ]
+
+let suite =
+  { Hdd_benchkit.Suite.name = "durable";
+    out = "BENCH_durable.json";
+    budget = 0.25;
+    run =
+      (fun ~quick ~workers:_ ->
+        let report = run ~quick () in
+        { Hdd_benchkit.Suite.report; print = print report;
+          problems = gates report });
+    gated =
+      (fun report ->
+        List.concat_map
+          (fun c ->
+            let knob k =
+              Option.bind (J.member k c) J.number
+              |> Option.map int_of_float
+            in
+            match (knob "max_batch", knob "max_delay") with
+            | Some b, Some d when List.mem (b, d) gated_cells ->
+              Hdd_benchkit.Suite.metric
+                ~name:(Printf.sprintf "batch=%d delay=%d" b d)
+                [ "txns_per_sec" ] c
+            | _ -> [])
+          (grid report)) }

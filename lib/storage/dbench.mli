@@ -1,4 +1,4 @@
-(** The durable-engine benchmark behind [hdd_cli bench --durable] and
+(** The durable-engine benchmark behind [hdd_cli bench durable] and
     [BENCH_durable.json].
 
     Two families of measurements, both against the real file sink (every
@@ -18,14 +18,12 @@
       fixed history under several checkpoint intervals, reporting
       recovery time against full-log replay.
 
-    {!gates} checks the structural truths (reduction at least 4x,
+    The gates check the structural truths (reduction at least 4x,
     flatness bounded) that hold at any machine speed; magnitude
     regressions are gated nightly against the committed baseline. *)
 
-val run : ?quick:bool -> ?dir:string -> unit -> Hdd_benchkit.Jsonlite.t
-(** Run the full matrix ([quick] shrinks workloads roughly 6x for
-    per-push CI) using scratch files under [dir] (default the system
-    temp directory; the files are removed afterwards). *)
-
-val gates : Hdd_benchkit.Jsonlite.t -> string list
-(** Structural-gate failures in a {!run} report; empty means healthy. *)
+val suite : Hdd_benchkit.Suite.t
+(** [hdd_cli bench durable]: the matrix above ([quick] shrinks it about
+    6x) over scratch files in the system temp directory, the structural
+    gates, and a 25% budget on the throughput of the
+    [(max_batch, max_delay)] cells [(0, 0)], [(8, 16)] and [(32, 64)]. *)

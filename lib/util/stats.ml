@@ -39,14 +39,19 @@ let stddev t =
 let min_value t = t.lo
 let max_value t = t.hi
 
+let percentile_sorted sorted p =
+  let n = Array.length sorted in
+  if n = 0 then nan
+  else
+    let rank = int_of_float (ceil (p /. 100. *. float_of_int n)) in
+    sorted.(if rank <= 0 then 0 else Int.min (rank - 1) (n - 1))
+
 let percentile t p =
   if t.len = 0 then invalid_arg "Stats.percentile: empty";
   if p < 0. || p > 100. then invalid_arg "Stats.percentile: p out of range";
   let sorted = Array.sub t.data 0 t.len in
   Array.sort compare sorted;
-  let rank = int_of_float (ceil (p /. 100. *. float_of_int t.len)) in
-  let idx = if rank <= 0 then 0 else Int.min (rank - 1) (t.len - 1) in
-  sorted.(idx)
+  percentile_sorted sorted p
 
 let observations t = Array.sub t.data 0 t.len
 

@@ -21,6 +21,11 @@ val percentile : t -> float -> float
     observations.  @raise Invalid_argument on empty accumulator or [p]
     outside the range. *)
 
+val percentile_sorted : float array -> float -> float
+(** [percentile_sorted a p]: the nearest-rank [p]-th percentile ([p] in
+    [\[0, 100\]]) of the ascending array [a], the rule {!percentile}
+    applies; [nan] when [a] is empty. *)
+
 val observations : t -> float array
 (** Copy of all recorded observations, in insertion order. *)
 

@@ -6,7 +6,7 @@ module Hybrid = Hdd_hybrid.Hybrid_sched
 module Policy = Hdd_hybrid.Policy
 module J = Hdd_benchkit.Jsonlite
 
-(* The hybrid-CC benchmark behind [hdd_cli bench --hybrid]: the TPC-C
+(* The hybrid-CC benchmark behind [hdd_cli bench hybrid]: the TPC-C
    shaped open/closed workload suite over {low, high} contention ×
    {hdd, hybrid, mv2pl}, all in virtual time (deterministic per seed,
    so the throughput-ratio gates run in CI on any machine).
@@ -241,3 +241,12 @@ let pp ppf r =
     (fun (c, s) ->
       Format.fprintf ppf "  slo %-4s %a@." c Openloop.pp_slo s)
     r.w_slo
+
+let suite =
+  { Hdd_benchkit.Suite.name = "hybrid";
+    out = "BENCH_hybrid.json";
+    budget = 0.20;
+    run =
+      (fun ~quick ~workers:_ ->
+        Hdd_benchkit.Suite.of_result ~to_json ~pp ~gates (run ~quick ()));
+    gated = Hdd_benchkit.Suite.metric [ "ratio_high" ] }

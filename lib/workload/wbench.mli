@@ -1,4 +1,4 @@
-(** The hybrid-CC workload benchmark ([hdd_cli bench --hybrid],
+(** The hybrid-CC workload benchmark ([hdd_cli bench hybrid],
     DESIGN.md §18): the {!Tpcc} suite at {low, high} contention, closed
     loop, across pure HDD, the adaptive {!Hdd_hybrid.Hybrid_sched} and
     the MV2PL baseline, plus an open-loop million-user SLO section per
@@ -48,3 +48,7 @@ val gates : result -> string list
 
 val to_json : result -> Hdd_benchkit.Jsonlite.t
 val pp : Format.formatter -> result -> unit
+
+val suite : Hdd_benchkit.Suite.t
+(** [hdd_cli bench hybrid]: {!run}, {!gates}, and a 20% budget on
+    [ratio_high]. *)

@@ -1,13 +1,16 @@
 (* Benchkit's serialisers: the Jsonlite emitter/parser pair (round-trip
    stability over escapes, big and negative ints, float edge cases,
    deeply nested values) and the Chrome trace-event exporter producing
-   JSON the parser itself accepts. *)
+   JSON the parser itself accepts.  Then the bench driver: the baseline
+   comparator, and each suite's gated extraction over its committed
+   baseline file. *)
 
 module J = Hdd_benchkit.Jsonlite
 module Obs_export = Hdd_benchkit.Obs_export
 module Trace = Hdd_obs.Trace
 module Metrics = Hdd_obs.Metrics
 module Prng = Hdd_util.Prng
+module Suite = Hdd_benchkit.Suite
 
 let checkb = Alcotest.check Alcotest.bool
 let checks = Alcotest.check Alcotest.string
@@ -139,6 +142,63 @@ let test_metrics_json_parses () =
   | Some (J.Num 1.) -> ()
   | _ -> Alcotest.fail "histogram count missing"
 
+(* --- the baseline comparator --- *)
+
+let test_regressions () =
+  let names rs = List.map (fun (m, _, _) -> m) rs in
+  let check_names msg want rs =
+    Alcotest.(check (list string)) msg want (names rs)
+  in
+  let regressions = Suite.regressions ~budget:0.2 in
+  check_names "a drop past the budget is flagged" [ "x" ]
+    (regressions ~baseline:[ ("x", 100.) ] ~current:[ ("x", 79.) ]);
+  check_names "a drop within the budget passes" []
+    (regressions ~baseline:[ ("x", 100.) ] ~current:[ ("x", 81.) ]);
+  (match regressions ~baseline:[ ("x", 100.) ] ~current:[] with
+  | [ ("x", 100., None) ] -> ()
+  | _ -> Alcotest.fail "a metric missing from the current report must fail");
+  check_names "a metric only the current report has is skipped" []
+    (regressions ~baseline:[ ("x", 100.) ]
+       ~current:[ ("x", 100.); ("new", 1.) ]);
+  check_names "a non-finite current value is missing" [ "x" ]
+    (regressions ~baseline:[ ("x", 1.) ]
+       ~current:(Suite.metric [ "x" ] (J.Obj [ ("x", J.Num Float.nan) ])))
+
+let test_obs_gate () =
+  let gates frac =
+    Hdd_benchkit.Macro.obs_gates
+      (J.Obj [ ("disabled_overhead_frac", J.Num frac) ])
+  in
+  checkb "1% overhead passes" true (gates 0.01 = []);
+  checkb "3% overhead passes" true (gates 0.03 = []);
+  checkb "3.5% overhead fails" true (gates 0.035 <> [])
+
+(* each suite's gated names over the committed baseline its gate reads:
+   a renamed key or a changed extraction shows here, not as a nightly
+   gate that silently compares nothing *)
+let test_gated_baselines () =
+  let gated (s : Suite.t) file =
+    List.map fst (s.Suite.gated (J.of_file ("../bench/" ^ file)))
+  in
+  let check s file want =
+    Alcotest.(check (list string)) s.Suite.name want (gated s file)
+  in
+  check Hdd_benchkit.Macro.hot "BENCH_baseline.json"
+    [ "macro.ops_per_sec"; "macro.txns_per_sec";
+      "hot_paths.cross_class_read.after_ops_per_sec" ];
+  check Hdd_runtime.Parbench.suite "BENCH_parallel_baseline.json"
+    [ "reads_a_per_s at 1 workers"; "reads_a_per_s at 2 workers";
+      "reads_a_per_s at 4 workers"; "reads_a_per_s at 8 workers";
+      "cross_read_scaling_1_to_8" ];
+  check Hdd_storage.Dbench.suite "BENCH_durable_baseline.json"
+    [ "batch=0 delay=0"; "batch=8 delay=16"; "batch=32 delay=64" ];
+  check Hdd_shard.Shardbench.suite "BENCH_shard_baseline.json"
+    [ "speedup" ];
+  check Hdd_adapt.Adaptbench.suite "BENCH_adapt_baseline.json"
+    [ "retention_live" ];
+  check Hdd_workload.Wbench.suite "BENCH_hybrid_baseline.json"
+    [ "ratio_high" ]
+
 let suite =
   [ Alcotest.test_case "jsonlite: string escapes round-trip" `Quick
       test_string_escapes;
@@ -151,4 +211,8 @@ let suite =
     Alcotest.test_case "obs_export: chrome trace parses back" `Quick
       test_chrome_trace_parses;
     Alcotest.test_case "obs_export: metrics snapshot parses back" `Quick
-      test_metrics_json_parses ]
+      test_metrics_json_parses;
+    Alcotest.test_case "suite: baseline comparator" `Quick test_regressions;
+    Alcotest.test_case "suite: obs gate at 3%" `Quick test_obs_gate;
+    Alcotest.test_case "suite: gated metrics of the committed baselines"
+      `Quick test_gated_baselines ]

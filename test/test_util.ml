@@ -149,14 +149,19 @@ let test_stats_percentile () =
   check (Alcotest.float 1e-9) "p50" 50. (Stats.percentile s 50.);
   check (Alcotest.float 1e-9) "p95" 95. (Stats.percentile s 95.);
   check (Alcotest.float 1e-9) "p100" 100. (Stats.percentile s 100.);
-  check (Alcotest.float 1e-9) "p0 -> first" 1. (Stats.percentile s 0.)
+  check (Alcotest.float 1e-9) "p0 -> first" 1. (Stats.percentile s 0.);
+  let sorted = Stats.observations s in
+  check (Alcotest.float 1e-9) "sorted-array p99" 99.
+    (Stats.percentile_sorted sorted 99.)
 
 let test_stats_empty () =
   let s = Stats.create () in
   checkb "mean of empty is nan" true (Float.is_nan (Stats.mean s));
   Alcotest.check_raises "percentile of empty rejected"
     (Invalid_argument "Stats.percentile: empty") (fun () ->
-      ignore (Stats.percentile s 50.))
+      ignore (Stats.percentile s 50.));
+  checkb "sorted-array percentile of empty is nan" true
+    (Float.is_nan (Stats.percentile_sorted [||] 50.))
 
 let test_stats_growth () =
   let s = Stats.create () in
