@@ -28,8 +28,7 @@ let stats_of_counters ks =
         reads_b = s.E.reads_b + k.Wire.k_reads_b;
         reads_c = s.E.reads_c + k.Wire.k_reads_c;
         writes = s.E.writes + k.Wire.k_writes;
-        (* node publication counts do not travel on the wire *)
-        publications = s.E.publications;
+        publications = s.E.publications + k.Wire.k_publications;
         wall_releases = s.E.wall_releases + k.Wire.k_wall_releases;
         wall_lag_sum = s.E.wall_lag_sum + k.Wire.k_wall_lag_sum;
         wall_lag_max = Int.max s.E.wall_lag_max k.Wire.k_wall_lag_max;
@@ -143,9 +142,16 @@ let run_script_domains ?(config = Node.default_config) ~partition ~init
 
 (* --- one process per shard --- *)
 
-let child_main ~config ~partition ~init ~net i =
+(* How long an idle or waiting shard blocks when nothing arrives.  Every
+   change a node can wait for comes with a frame, so this only bounds
+   how often a quiet node rechecks. *)
+let wait_s = 1e-3
+
+let child_main ~config ~partition ~init ~ep i =
+  let net = Transport.Pipe.net ep in
+  let wait () = Transport.Pipe.wait ep wait_s in
   let node = Node.create ~config ~partition ~init ~net () in
-  Node.set_on_wait node (fun () -> Unix.sleepf 20e-6);
+  Node.set_on_wait node wait;
   let rec go () =
     Node.pump node;
     match Node.take_work node with
@@ -153,10 +159,9 @@ let child_main ~config ~partition ~init ~net i =
       Node.exec node d;
       go ()
     | None ->
-      if Node.drained node then ()
-      else begin
-        Node.publish node;
-        Unix.sleepf 20e-6;
+      if not (Node.drained node) then begin
+        Node.publish_news node;
+        wait ();
         go ()
       end
   in
@@ -168,14 +173,13 @@ let child_main ~config ~partition ~init ~net i =
       { Wire.src = i; dst = parent; stamp = Node.now node; msg }
   in
   home (Wire.Bye { shard = i });
-  (* Serve publications until the router says goodbye; the coordinator
-     keeps releasing walls for still-working siblings through here, so
+  (* Serve until the router says goodbye; the coordinator keeps
+     releasing walls for still-working siblings through here, so
      outcomes, counters and the trace ship only after the Bye — a wall
      released now must reach the merged trace. *)
   while not (Node.bye_seen node) do
-    Node.pump node;
-    Node.publish_final node;
-    Unix.sleepf 200e-6
+    wait ();
+    Node.pump node
   done;
   home
     (Wire.Outcome
@@ -183,138 +187,144 @@ let child_main ~config ~partition ~init ~net i =
          counters = Node.counters node });
   home (Wire.Trace_slice { shard = i; records = Node.records node })
 
+(* The router's own failure: a shard's pipe closed before it shipped its
+   trace. *)
+exception Died of int
+
+let describe = function
+  | Unix.WEXITED n -> Printf.sprintf "exit status %d" n
+  | Unix.WSIGNALED s -> Printf.sprintf "signal %d" s
+  | Unix.WSTOPPED s -> Printf.sprintf "stopped by signal %d" s
+
 let run_script_processes ?(config = Node.default_config) ~partition ~init
     ~shards ~script () =
   let parent = Transport.Pipe.parent_addr ~nodes:shards in
-  (* down.(i): parent -> child i; up.(i): child i -> parent *)
-  let down = Array.init shards (fun _ -> Unix.pipe ()) in
-  let up = Array.init shards (fun _ -> Unix.pipe ()) in
+  let addrs = List.init (shards + 1) Fun.id in
+  (* the mesh: pipes.(src).(dst) for every ordered pair of distinct
+     addresses, the router included *)
+  let pipes =
+    Array.init (shards + 1) (fun src ->
+        Array.init (shards + 1) (fun dst ->
+            if src = dst then None else Some (Unix.pipe ())))
+  in
+  let ends me =
+    ( List.filter_map
+        (fun src -> Option.map (fun (r, _) -> (src, r)) pipes.(src).(me))
+        addrs,
+      List.filter_map
+        (fun dst -> Option.map (fun (_, w) -> (dst, w)) pipes.(me).(dst))
+        addrs )
+  in
+  (* keep the read ends of our column and the write ends of our row *)
+  let close_others me =
+    Array.iteri
+      (fun src row ->
+        Array.iteri
+          (fun dst p ->
+            match p with
+            | None -> ()
+            | Some (r, w) ->
+              if dst <> me then Unix.close r;
+              if src <> me then Unix.close w)
+          row)
+      pipes
+  in
+  (* a write to an exited reader must surface as EPIPE, in the router
+     and (inherited across fork) in every shard *)
+  let sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
+  flush_all ();
   let pids =
     Array.init shards (fun i ->
         match Unix.fork () with
         | 0 ->
-          (* child i keeps read end of down.(i) and write end of up.(i) *)
-          Array.iteri
-            (fun j (r, w) ->
-              if j <> i then Unix.close r;
-              Unix.close w)
-            down;
-          Array.iteri
-            (fun j (r, w) ->
-              Unix.close r;
-              if j <> i then Unix.close w)
-            up;
-          let net =
-            Transport.Pipe.endpoint ~me:i ~nodes:shards
-              ~read_fd:(fst down.(i)) ~write_fd:(snd up.(i))
+          close_others i;
+          let inbound, outbound = ends i in
+          let on_close src = if src = parent then failwith "router exited" in
+          let code =
+            match
+              child_main ~config ~partition ~init i
+                ~ep:
+                  (Transport.Pipe.endpoint ~me:i ~nodes:shards ~inbound
+                     ~outbound ~on_close)
+            with
+            | () -> 0
+            | exception e ->
+              prerr_endline
+                (Printf.sprintf "shard %d died: %s" i (Printexc.to_string e));
+              2
           in
-          (try child_main ~config ~partition ~init ~net i
-           with e ->
-             prerr_endline
-               (Printf.sprintf "shard %d died: %s" i (Printexc.to_string e)));
-          exit 0
+          Unix._exit code
         | pid -> pid)
   in
-  (* parent keeps write ends of down and read ends of up *)
-  Array.iter (fun (r, _) -> Unix.close r) down;
-  Array.iter (fun (_, w) -> Unix.close w) up;
-  let sigpipe =
-    (* a child that exits while we still route must not kill the
-       parent (nor a sibling forward): surface EPIPE instead *)
-    Sys.signal Sys.sigpipe Sys.Signal_ignore
-  in
-  let send_down i (pkt : Wire.packet) =
-    try Transport.Pipe.write_all (snd down.(i)) (Wire.encode pkt)
-    with Unix.Unix_error (EPIPE, _, _) -> ()
-  in
-  let fbs = Array.init shards (fun _ -> Transport.Framebuf.create ()) in
-  let chunk = Bytes.create 65536 in
+  close_others parent;
   let outcomes = ref [] and slices = ref [] and counters = ref [] in
   let byes = ref 0 in
-  let fd_of = Array.map fst up in
-  (* one routing round: forward child->child frames, keep the frames
-     addressed to us.  Draining while dispatching keeps the pipes from
-     filling up and deadlocking on large scripts. *)
-  let eof = Array.make shards false in
-  let service timeout =
-    let live =
-      Array.to_list fd_of
-      |> List.filteri (fun i _ -> not eof.(i))
-    in
-    if live = [] then false
-    else begin
-    let ready, _, _ = Unix.select live [] [] timeout in
-    let any = ready <> [] in
-    List.iter
-      (fun fd ->
-        let i = ref 0 in
-        Array.iteri (fun j f -> if f = fd then i := j) fd_of;
-        match Unix.read fd chunk 0 (Bytes.length chunk) with
-        | 0 -> eof.(!i) <- true
-        | n ->
-          Transport.Framebuf.feed fbs.(!i) chunk ~len:n;
-          let rec route () =
-            match Transport.Framebuf.next fbs.(!i) with
-            | None -> ()
-            | Some pkt ->
-              (if pkt.Wire.dst = parent then
-                 match pkt.Wire.msg with
-                 | Wire.Outcome { outcomes = o; counters = k; _ } ->
-                   outcomes := o :: !outcomes;
-                   counters := k :: !counters
-                 | Wire.Trace_slice { records; _ } ->
-                   slices := records :: !slices
-                 | Wire.Bye _ -> incr byes
-                 | _ -> ()
-               else send_down pkt.Wire.dst pkt);
-              route ()
-          in
-          route ())
-      ready;
-    any
-    end
+  let shipped = Array.make shards false in
+  let inbound, outbound = ends parent in
+  let ep =
+    Transport.Pipe.endpoint ~me:parent ~nodes:shards ~inbound ~outbound
+      ~on_close:(fun i -> if not shipped.(i) then raise (Died i))
   in
-  Array.iter
-    (fun d ->
-      let i = assign ~shards d in
-      send_down i { Wire.src = parent; dst = i; stamp = 0; msg = Wire.Exec d };
-      ignore (service 0.))
-    script;
-  Array.iteri
-    (fun i _ ->
-      send_down i { Wire.src = parent; dst = i; stamp = 0; msg = Wire.Drain })
-    pids;
-  let wait_for what cond =
-    let idle = ref 0 in
+  let net = Transport.Pipe.net ep in
+  let send i msg =
+    net.Transport.send { Wire.src = parent; dst = i; stamp = 0; msg }
+  in
+  let rec drain () =
+    match net.Transport.poll () with
+    | None -> ()
+    | Some pkt ->
+      (match pkt.Wire.msg with
+      | Wire.Outcome { outcomes = o; counters = k; _ } ->
+        outcomes := o :: !outcomes;
+        counters := k :: !counters
+      | Wire.Trace_slice { records; _ } ->
+        slices := records :: !slices;
+        shipped.(pkt.Wire.src) <- true
+      | Wire.Bye _ -> incr byes
+      | _ -> ());
+      drain ()
+  in
+  let wait_for cond =
+    drain ();
     while not (cond ()) do
-      if service 1.0 then idle := 0
-      else begin
-        incr idle;
-        if !idle > 30 then
-          failwith
-            (Printf.sprintf
-               "Cluster: shard process unresponsive waiting for %s (30s \
-                without traffic)"
-               what)
-      end
+      Transport.Pipe.wait ep 1.0;
+      drain ()
     done
   in
-  wait_for "drain acknowledgements" (fun () -> !byes >= shards);
-  (* goodbyes; only now do the children ship outcomes and traces, so a
-     wall the coordinator released while serving stragglers is on
-     record before the trace crosses the pipe *)
-  Array.iteri
-    (fun i _ ->
-      send_down i
-        { Wire.src = parent; dst = i; stamp = 0; msg = Wire.Bye { shard = -1 } })
-    pids;
-  wait_for "traces and outcomes" (fun () ->
-      List.length !slices >= shards && List.length !outcomes >= shards);
-  Array.iter (fun (_, w) -> Unix.close w) down;
-  Array.iter (fun pid -> ignore (Unix.waitpid [] pid)) pids;
-  Array.iter (fun (r, _) -> Unix.close r) up;
-  ignore (Sys.signal Sys.sigpipe sigpipe);
-  { E.records = merge_records !slices;
-    outcomes =
-      List.concat !outcomes |> List.sort (fun (a, _) (b, _) -> compare a b);
-    stats = stats_of_counters !counters }
+  let reap pid = snd (Unix.waitpid [] pid) in
+  match
+    Array.iter (fun d -> send (assign ~shards d) (Wire.Exec d)) script;
+    Array.iteri (fun i _ -> send i Wire.Drain) pids;
+    wait_for (fun () -> !byes >= shards);
+    (* goodbyes; only now do the children ship outcomes and traces, so a
+       wall the coordinator released while serving stragglers is on
+       record before the trace leaves *)
+    Array.iteri (fun i _ -> send i (Wire.Bye { shard = -1 })) pids;
+    wait_for (fun () -> Array.for_all Fun.id shipped)
+  with
+  | () ->
+    Transport.Pipe.close ep;
+    Array.iter (fun pid -> ignore (reap pid)) pids;
+    ignore (Sys.signal Sys.sigpipe sigpipe);
+    { E.records = merge_records !slices;
+      outcomes =
+        List.concat !outcomes |> List.sort (fun (a, _) (b, _) -> compare a b);
+      stats = stats_of_counters !counters }
+  | exception e ->
+    (* no shard outlives a failed run: kill the rest, reap them all *)
+    let dead = match e with Died i -> i | _ -> -1 in
+    Array.iteri
+      (fun i pid ->
+        if i <> dead then
+          try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ())
+      pids;
+    Transport.Pipe.close ep;
+    let statuses = Array.map reap pids in
+    ignore (Sys.signal Sys.sigpipe sigpipe);
+    match e with
+    | Died i ->
+      failwith
+        (Printf.sprintf
+           "Cluster: shard %d died before shipping its outcome (%s)" i
+           (describe statuses.(i)))
+    | e -> raise e

@@ -12,8 +12,9 @@
       and the netfault suite want.
     - {!run_script_domains}: one domain per shard over the mutexed
       loopback hub; real parallelism, still one process.
-    - {!run_script_processes}: one forked OS process per shard, pipes
-      to a star router in the parent, traces and outcomes shipped home
+    - {!run_script_processes}: one forked OS process per shard over a
+      full pipe mesh ({!Transport.Pipe}); the parent router only
+      dispatches work and collects traces and outcomes, shipped home
       as {!Wire.Trace_slice}/{!Wire.Outcome} messages.  What
       [hdd_cli shard --processes] runs. *)
 
@@ -51,6 +52,12 @@ val run_script_processes :
   script:script ->
   unit ->
   Hdd_runtime.Engine.run
+(** Shards talk to each other directly, one pipe per ordered pair; an
+    idle or waiting shard blocks in {!Transport.Pipe.wait} until a
+    frame arrives.  A shard process that dies mid-run (its pipe to the
+    router closes before it shipped its trace) fails the run at once:
+    the router kills and reaps the other shards, then raises.
+    @raise Failure naming the dead shard and its exit status. *)
 
 val merge_records :
   Hdd_obs.Trace.record list list -> Hdd_obs.Trace.record list

@@ -35,11 +35,17 @@ type counters = {
   mutable n_wall_releases : int;
   mutable n_wall_lag_sum : int;
   mutable n_wall_lag_max : int;
+  mutable n_publications : int;
 }
 
 type coord = {
   primary : int;
   starts : int array;
+  readers : int array array;  (** {!E.gc_readers} *)
+  gc_vec : Time.t array;  (** scratch for {!E.gc_vector_into} *)
+  mutable gc_floor : Time.t;
+      (** the prune floor computed at the last release, shipped with
+          the next one *)
   mutable last_m : Time.t;
   mutable last_seen : Time.t;  (** clock value at the last attempt *)
 }
@@ -60,6 +66,8 @@ type t = {
   applied : int array;  (** delta messages applied, per segment *)
   sent_marks : int array;  (** delta messages broadcast, per own segment *)
   mutable pub_seq : int;
+  mutable last_upto : Time.t;  (** coverage of the last publication *)
+  mutable pruned : Time.t;  (** registry history is pruned below this *)
   rpubs : rpub option array;  (** per shard *)
   mutable wall : TW.wall;
   trace : T.t option;
@@ -104,7 +112,8 @@ let counters t =
     k_stale_waits = t.c.n_stale_waits;
     k_wall_releases = t.c.n_wall_releases;
     k_wall_lag_sum = t.c.n_wall_lag_sum;
-    k_wall_lag_max = t.c.n_wall_lag_max }
+    k_wall_lag_max = t.c.n_wall_lag_max;
+    k_publications = t.c.n_publications }
 
 let emit_at t ~at ev =
   match t.trace with None -> () | Some tr -> T.emit tr ~at ev
@@ -117,6 +126,8 @@ let op_at t =
 let publish_upto t upto =
   t.since_pub <- 0;
   t.pub_seq <- t.pub_seq + 1;
+  t.last_upto <- upto;
+  t.c.n_publications <- t.c.n_publications + 1;
   Transport.broadcast t.net ~stamp:(Sclock.now t.clock)
     (Wire.Pub
        { p_shard = t.me;
@@ -130,6 +141,19 @@ let publish_upto t upto =
    ticks later. *)
 let publish t = publish_upto t (Sclock.now t.clock)
 let publish_final t = publish_upto t max_int
+
+let publish_news t =
+  if t.since_pub > 0 || Sclock.now t.clock > t.last_upto then publish t
+
+(* Registry GC below a reclamation floor (DESIGN.md §15): every
+   argument a future threshold, wall or floor computation passes to an
+   activity step is at least the floor, so the windows closed below it
+   are dead weight — and publication cost is O(retained windows). *)
+let prune_below t floor =
+  if floor > t.pruned then begin
+    t.pruned <- floor;
+    Registry.prune t.registry ~upto:(floor - 1)
+  end
 
 (* --- receiving --- *)
 
@@ -176,16 +200,10 @@ let handle t (pkt : Wire.packet) =
             r_marks = p.Wire.p_marks;
             r_snap = p.Wire.p_snap }
   | Wire.Delta d -> apply_delta t ~src:pkt.Wire.src d
-  | Wire.Wall w ->
-    if w.TW.released_at > t.wall.TW.released_at then begin
-      let advanced = w.TW.m > t.wall.TW.m in
-      t.wall <- w;
-      (* wall-driven registry GC, as in the serial scheduler: no
-         composition or wall query ever reaches below the wall's
-         argument [m], so windows closed under it are dead weight —
-         and publication cost is O(retained windows), so without this
-         every snapshot broadcast grows with history *)
-      if advanced then Registry.prune t.registry ~upto:(w.TW.m - 1)
+  | Wire.Wall { wall; floor } ->
+    if wall.TW.released_at > t.wall.TW.released_at then begin
+      t.wall <- wall;
+      prune_below t floor
     end
   | Wire.Exec d -> Queue.add d t.work
   | Wire.Drain -> t.drain_seen <- true
@@ -269,16 +287,28 @@ let coordinator_attempt t co =
         let released_at = Sclock.tick t.clock in
         let wall = TW.make ~s:co.primary ~m ~components ~released_at in
         t.wall <- wall;
-        Transport.broadcast t.net ~stamp:released_at (Wire.Wall wall);
+        let floor = co.gc_floor in
+        Transport.broadcast t.net ~stamp:released_at
+          (Wire.Wall { wall; floor });
         emit_at t ~at:released_at
           (T.Wall_release
              { m; released_at; components = Array.copy components });
         co.last_m <- m;
-        Registry.prune t.registry ~upto:(m - 1);
+        prune_below t floor;
         t.c.n_wall_releases <- t.c.n_wall_releases + 1;
         let lag = released_at - m in
         t.c.n_wall_lag_sum <- t.c.n_wall_lag_sum + lag;
-        if lag > t.c.n_wall_lag_max then t.c.n_wall_lag_max <- lag
+        if lag > t.c.n_wall_lag_max then t.c.n_wall_lag_max <- lag;
+        (* the next floor, over the same publications: every update
+           transaction initiated below m has finished and A is
+           monotone, so no in-flight or future composition steps below
+           min_s (min (components s, A_i^s(m))).  It ships with the
+           next release — one release of grace, as the engine's vector
+           waits out older walls (DESIGN.md §16).  No step goes stale:
+           each argument is at most m, which every publication covers. *)
+        E.gc_vector_into t.partition ~readers:co.readers ~i_old:wall_i_old
+          pubs ~components m co.gc_vec;
+        co.gc_floor <- Array.fold_left Time.min max_int co.gc_vec
       end
     with Wall_stale -> ()
   end
@@ -571,6 +601,9 @@ let create ?(config = default_config) ~partition ~init ~net () =
       Some
         { primary;
           starts = TW.component_starts partition;
+          readers = E.gc_readers partition;
+          gc_vec = Array.make nseg Time.zero;
+          gc_floor = Time.zero;
           last_m = Time.zero;
           last_seen = -1 }
     else None
@@ -588,13 +621,16 @@ let create ?(config = default_config) ~partition ~init ~net () =
       applied = Array.make nseg 0;
       sent_marks = Array.make nseg 0;
       pub_seq = 0;
+      last_upto = Time.zero;
+      pruned = Time.zero;
       rpubs = Array.make shards None;
       wall = wall0;
       trace;
       c =
         { n_committed = 0; n_aborted = 0; n_reads_a = 0; n_reads_b = 0;
           n_reads_c = 0; n_writes = 0; n_stale_waits = 0;
-          n_wall_releases = 0; n_wall_lag_sum = 0; n_wall_lag_max = 0 };
+          n_wall_releases = 0; n_wall_lag_sum = 0; n_wall_lag_max = 0;
+          n_publications = 0 };
       outcomes = [];
       on_wait = (fun () -> ());
       stall_limit = config.stall_limit;

@@ -26,11 +26,18 @@
     no key may be negative — anything else raises [Invalid_argument]
     from {!pump}.
 
-    A node never blocks the OS thread: every wait is a [check]-loop
-    that republishes its own activity (so mutually waiting shards
-    unblock each other), runs the caller-installed [on_wait] hook (the
-    deterministic cluster pumps the other nodes there; the domain and
-    process clusters sleep), and pumps its own transport. *)
+    Every wait is a [check]-loop that republishes its own activity (so
+    mutually waiting shards unblock each other), runs the
+    caller-installed [on_wait] hook (the deterministic cluster pumps
+    the other nodes there, the domain cluster sleeps, the process
+    cluster blocks until a frame arrives), and pumps its own
+    transport.
+
+    Wall releases drive registry GC: with each wall the coordinator
+    ships a prune floor, the minimum of the reclamation vector it
+    computed at the previous release
+    ({!Hdd_runtime.Engine.gc_vector_into}), and every node prunes
+    below it. *)
 
 type config = {
   traced : bool;
@@ -77,6 +84,13 @@ val publish : t -> unit
 val publish_final : t -> unit
 (** Broadcast with unbounded coverage ([upto = max_int]) — only legal
     once this node will never register another transaction. *)
+
+val publish_news : t -> unit
+(** {!publish} only if a transaction finished since the last
+    publication or the clock has moved past its coverage.  An idle node
+    on a blocking transport uses this, so two idle nodes do not wake
+    each other forever; a peer that needs fresher coverage republishes
+    with a later stamp, which moves the clock. *)
 
 val exec : t -> Hdd_runtime.Engine.desc -> unit
 (** Run one transaction to completion (may wait inside). *)

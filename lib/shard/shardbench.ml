@@ -26,6 +26,26 @@ type result = {
 
 let max_samples = 1 lsl 16
 
+(* How long past its deadline a shard loop may take to finish its last
+   transaction before the run counts it as stalled. *)
+let grace_s = 5.0
+
+let await_loops ~deadline finished =
+  let stalled () =
+    List.filter
+      (fun i -> not (Atomic.get finished.(i)))
+      (List.init (Array.length finished) Fun.id)
+  in
+  while stalled () <> [] && Unix.gettimeofday () < deadline do
+    Unix.sleepf 100e-6
+  done;
+  match stalled () with
+  | [] -> ()
+  | ids ->
+    failwith
+      (Printf.sprintf "Shardbench: shard loop %s stalled past the deadline"
+         (String.concat ", " (List.map string_of_int ids)))
+
 (* One closed loop per shard domain, every transaction one own-segment
    write plus [cross] reads of the next segment up the chain — which a
    different shard owns, so every read crosses the interconnect.  The
@@ -40,7 +60,7 @@ let bench_side ~mode ~shards ~seconds ~cross ~keys ~publish_every () =
   let partition = D.chain_partition (shards + 1) in
   let nets = Transport.Loopback.create ~nodes:shards () in
   let stop = Atomic.make false in
-  let done_count = Atomic.make 0 in
+  let finished = Array.init shards (fun _ -> Atomic.make false) in
   let config = { Node.default_config with traced = false; publish_every } in
   let run me =
     let node =
@@ -85,7 +105,7 @@ let bench_side ~mode ~shards ~seconds ~cross ~keys ~publish_every () =
       end;
       now := t1
     done;
-    Atomic.incr done_count;
+    Atomic.set finished.(me) true;
     (* keep serving peers (publications, lock and read requests) until
        every loop is past its deadline *)
     while not (Atomic.get stop) do
@@ -96,11 +116,12 @@ let bench_side ~mode ~shards ~seconds ~cross ~keys ~publish_every () =
     Node.pump node;
     (node, Array.sub lat 0 !nlat)
   in
+  let deadline = Unix.gettimeofday () +. seconds +. grace_s in
   let doms = Array.init shards (fun i -> Domain.spawn (fun () -> run i)) in
-  while Atomic.get done_count < shards do
-    Unix.sleepf 100e-6
-  done;
-  Atomic.set stop true;
+  (* a stalled loop is left running: joining it would hang *)
+  Fun.protect
+    ~finally:(fun () -> Atomic.set stop true)
+    (fun () -> await_loops ~deadline finished);
   let joined = Array.map Domain.join doms in
   let nodes = Array.map fst joined in
   (* closed-loop per-transaction latency over the merged per-shard

@@ -19,3 +19,10 @@ val suite : Hdd_benchkit.Suite.t
     commits and [speedup] (per-commit HDD cross-reads/sec over 2PC's)
     exceeds 1; a 20% budget on [speedup].  Spawns domains; do not call
     from a process that intends to fork afterwards. *)
+
+val await_loops : deadline:float -> bool Atomic.t array -> unit
+(** Wait until every shard loop has set its flag.  A loop whose flag is
+    still clear at [deadline] (the run's end plus a grace period) is
+    stalled — wedged in a wait, or its domain died — and the run fails
+    naming it instead of hanging.
+    @raise Failure naming every stalled shard. *)

@@ -102,29 +102,147 @@ end
 module Pipe = struct
   let parent_addr ~nodes = nodes
 
-  let write_all fd bytes =
-    let n = Bytes.length bytes in
-    let off = ref 0 in
-    while !off < n do
-      off := !off + Unix.write fd bytes !off (n - !off)
-    done
+  type chan = {
+    src : int;
+    fd : Unix.file_descr;
+    fb : Framebuf.t;
+    mutable eof : bool;  (** read returned 0; no longer selected *)
+    mutable reported : bool;  (** [on_close] has run *)
+  }
 
-  let endpoint ~me ~nodes ~read_fd ~write_fd =
-    Unix.set_nonblock read_fd;
-    let fb = Framebuf.create () in
-    let chunk = Bytes.create 65536 in
-    let send (pkt : Wire.packet) = write_all write_fd (Wire.encode pkt) in
-    let rec poll () =
-      match Framebuf.next fb with
-      | Some pkt -> Some pkt
-      | None -> (
-        match Unix.read read_fd chunk 0 (Bytes.length chunk) with
-        | 0 -> None (* peer gone *)
-        | n ->
-          Framebuf.feed fb chunk ~len:n;
-          poll ()
+  type endpoint = {
+    net : t;
+    chans : chan array;
+    out : Unix.file_descr option array;  (** by destination; [None] once gone *)
+    pending : Wire.packet Queue.t;  (** decoded, not yet polled *)
+    chunk : Bytes.t;
+    on_close : int -> unit;
+  }
+
+  let net ep = ep.net
+
+  let live ep =
+    Array.fold_right
+      (fun c acc -> if c.eof then acc else c.fd :: acc)
+      ep.chans []
+
+  (* Read what [c] holds and decode every complete frame into
+     [pending]; EOF retires the channel. *)
+  let fill ep c =
+    match Unix.read c.fd ep.chunk 0 (Bytes.length ep.chunk) with
+    | 0 ->
+      c.eof <- true;
+      Unix.close c.fd
+    | n ->
+      Framebuf.feed c.fb ep.chunk ~len:n;
+      let rec decode () =
+        match Framebuf.next c.fb with
+        | Some pkt ->
+          Queue.add pkt ep.pending;
+          decode ()
+        | None -> ()
+      in
+      decode ()
+    | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) -> ()
+
+  (* A closed channel is reported only once every frame read so far has
+     been polled, so [on_close] sees everything its peer sent. *)
+  let report ep =
+    if Queue.is_empty ep.pending then
+      Array.iter
+        (fun c ->
+          if c.eof && not c.reported then begin
+            c.reported <- true;
+            ep.on_close c.src
+          end)
+        ep.chans
+
+  (* Fill the channels readable within [timeout] (negative: no limit),
+     optionally waiting for [out] to become writable too. *)
+  let select ep ?(out = []) timeout =
+    match live ep with
+    | [] when out = [] -> if timeout > 0. then Unix.sleepf timeout
+    | fds -> (
+      match Unix.select fds out [] timeout with
+      | ready, _, _ ->
+        Array.iter
+          (fun c -> if (not c.eof) && List.mem c.fd ready then fill ep c)
+          ep.chans
+      | exception Unix.Unix_error (EINTR, _, _) -> ())
+
+  let poll ep () =
+    if Queue.is_empty ep.pending then begin
+      report ep;
+      select ep 0.
+    end;
+    Queue.take_opt ep.pending
+
+  let wait ep timeout =
+    report ep;
+    if Queue.is_empty ep.pending then select ep timeout
+
+  (* Write one whole frame.  While the pipe is full, keep draining our
+     own inbound pipes: the peer may be blocked writing to us. *)
+  let write_frame ep fd bytes =
+    let n = Bytes.length bytes in
+    let rec go off =
+      if off < n then
+        match Unix.single_write fd bytes off (n - off) with
+        | k -> go (off + k)
         | exception Unix.Unix_error ((EAGAIN | EWOULDBLOCK | EINTR), _, _) ->
-          None)
+          select ep ~out:[ fd ] (-1.);
+          report ep;
+          go off
     in
-    { me; nodes; send; poll }
+    go 0
+
+  let endpoint ~me ~nodes ~inbound ~outbound ~on_close =
+    let out = Array.make (nodes + 1) None in
+    List.iter
+      (fun (dst, fd) ->
+        Unix.set_nonblock fd;
+        out.(dst) <- Some fd)
+      outbound;
+    let chans =
+      Array.of_list
+        (List.map
+           (fun (src, fd) ->
+             Unix.set_nonblock fd;
+             { src; fd; fb = Framebuf.create (); eof = false;
+               reported = false })
+           inbound)
+    in
+    let rec ep =
+      { net = { me; nodes; send; poll = (fun () -> poll ep ()) };
+        chans;
+        out;
+        pending = Queue.create ();
+        chunk = Bytes.create 65536;
+        on_close }
+    and send (pkt : Wire.packet) =
+      match out.(pkt.dst) with
+      | None -> ()
+      | Some fd -> (
+        try write_frame ep fd (Wire.encode pkt)
+        with Unix.Unix_error (EPIPE, _, _) ->
+          (* the reader exited: drop this and every later frame *)
+          Unix.close fd;
+          out.(pkt.dst) <- None)
+    in
+    ep
+
+  let close ep =
+    Array.iter
+      (fun c ->
+        if not c.eof then begin
+          c.eof <- true;
+          c.reported <- true;
+          Unix.close c.fd
+        end)
+      ep.chans;
+    Array.iteri
+      (fun dst fd ->
+        Option.iter Unix.close fd;
+        ep.out.(dst) <- None)
+      ep.out
 end

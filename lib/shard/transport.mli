@@ -11,10 +11,12 @@
       frames only — the fault suite's contract.  Safe both from a
       single thread (the deterministic cluster) and across domains
       (one hub mutex).
-    - {!Pipe}: a real [Unix] pipe endpoint for the forked process mode,
-      star topology: every child speaks to the parent router, which
-      forwards frames by [dst].  {!Framebuf} reassembles frames from
-      the byte stream. *)
+    - {!Pipe}: real [Unix] pipes for the forked process mode, a full
+      mesh: one pipe per ordered pair of shards, plus one each way
+      between every shard and the parent router.  FIFO holds per pipe,
+      which is all the protocol needs: a delta and the publication
+      that counts it travel on the same src -> dst pipe.  There is no
+      order across pipes. *)
 
 type t = {
   me : int;
@@ -36,34 +38,46 @@ module Loopback : sig
       degenerate into a drop — both are mere staleness). *)
 end
 
-module Framebuf : sig
-  type t
-
-  val create : unit -> t
-  val feed : t -> bytes -> len:int -> unit
-
-  val next : t -> Wire.packet option
-  (** The next complete frame, if any.
-      @raise Failure on a corrupt frame (pipes do not corrupt;
-      anything else is a bug). *)
-end
-
 module Pipe : sig
+  type endpoint
+
   val endpoint :
     me:int ->
     nodes:int ->
-    read_fd:Unix.file_descr ->
-    write_fd:Unix.file_descr ->
-    t
-  (** An endpoint over two fds.  [poll] reads whatever is available
-      without blocking; [send] writes the whole frame.  [dst] rides in
-      the packet, so a router on the peer end can forward.  In the star
-      topology the parent is address [nodes] (see {!parent_addr}). *)
+    inbound:(int * Unix.file_descr) list ->
+    outbound:(int * Unix.file_descr) list ->
+    on_close:(int -> unit) ->
+    endpoint
+  (** One endpoint over many pipes: [inbound] pairs a source address
+      with the read end of its pipe to us, [outbound] a destination
+      with the write end of ours to it.  Shards are addresses
+      [0 .. nodes - 1]; the router is {!parent_addr}.  Every fd is made
+      non-blocking.
+
+      [send] writes the whole frame to the pipe of [dst].  While that
+      pipe is full it keeps reading our inbound pipes (into the poll
+      queue), so two shards writing to each other cannot deadlock.  A
+      frame for a reader that has exited ([EPIPE]; the process must
+      ignore [SIGPIPE]) is dropped, as is every later frame to it: at
+      shutdown, siblings exit while others still broadcast.
+
+      An inbound pipe at EOF is closed and no longer read.  Once every
+      frame read from it has been polled, [on_close src] runs, once;
+      what it raises propagates out of the [send], [poll] or {!wait}
+      that noticed. *)
+
+  val net : endpoint -> t
+
+  val wait : endpoint -> float -> unit
+  (** Block until a frame is ready to poll, an inbound pipe closes, or
+      [timeout] seconds pass — [select] over the open inbound pipes, in
+      place of a sleep.  Returns at once when a frame is already
+      queued. *)
+
+  val close : endpoint -> unit
+  (** Close every pipe end the endpoint still holds. *)
 
   val parent_addr : nodes:int -> int
   (** The router's own address: control messages ([Outcome],
       [Trace_slice], [Bye]) are sent to it rather than to a shard. *)
-
-  val write_all : Unix.file_descr -> bytes -> unit
-  (** Loop until the whole buffer is written (the router's send). *)
 end

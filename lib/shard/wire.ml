@@ -28,17 +28,18 @@ type counters = {
   k_wall_releases : int;
   k_wall_lag_sum : int;
   k_wall_lag_max : int;
+  k_publications : int;
 }
 
 let counters_zero =
   { k_committed = 0; k_aborted = 0; k_reads_a = 0; k_reads_b = 0;
     k_reads_c = 0; k_writes = 0; k_stale_waits = 0; k_wall_releases = 0;
-    k_wall_lag_sum = 0; k_wall_lag_max = 0 }
+    k_wall_lag_sum = 0; k_wall_lag_max = 0; k_publications = 0 }
 
 type msg =
   | Pub of pub
   | Delta of delta
-  | Wall of TW.wall
+  | Wall of { wall : TW.wall; floor : Time.t }
   | Read_req of { req : int; segment : int; key : int; threshold : Time.t }
   | Read_reply of { req : int; slice : (Time.t * int) list }
   | Lock_req of { req : int; segment : int }
@@ -230,7 +231,8 @@ let w_counters b k =
   B.w_int b k.k_stale_waits;
   B.w_int b k.k_wall_releases;
   B.w_int b k.k_wall_lag_sum;
-  B.w_int b k.k_wall_lag_max
+  B.w_int b k.k_wall_lag_max;
+  B.w_int b k.k_publications
 
 let w_msg b = function
   | Pub p ->
@@ -250,9 +252,10 @@ let w_msg b = function
         B.w_int b ts;
         B.w_int b v)
       d.dl_versions
-  | Wall w ->
+  | Wall { wall; floor } ->
     B.w_int b 2;
-    w_wall b w
+    w_wall b wall;
+    B.w_int b floor
   | Read_req { req; segment; key; threshold } ->
     B.w_int b 3;
     B.w_int b req;
@@ -500,8 +503,10 @@ let r_counters r =
   let k_wall_releases = B.r_int r in
   let k_wall_lag_sum = B.r_int r in
   let k_wall_lag_max = B.r_int r in
+  let k_publications = B.r_int r in
   { k_committed; k_aborted; k_reads_a; k_reads_b; k_reads_c; k_writes;
-    k_stale_waits; k_wall_releases; k_wall_lag_sum; k_wall_lag_max }
+    k_stale_waits; k_wall_releases; k_wall_lag_sum; k_wall_lag_max;
+    k_publications }
 
 let r_msg r =
   match B.r_int r with
@@ -523,7 +528,10 @@ let r_msg r =
           (key, ts, v))
     in
     Delta { dl_shard; dl_segment; dl_versions }
-  | 2 -> Wall (r_wall r)
+  | 2 ->
+    let wall = r_wall r in
+    let floor = B.r_int r in
+    Wall { wall; floor }
   | 3 ->
     let req = B.r_int r in
     let segment = B.r_int r in
@@ -584,10 +592,11 @@ let equal_msg a b =
     p.p_shard = q.p_shard && p.p_seq = q.p_seq && p.p_upto = q.p_upto
     && p.p_marks = q.p_marks
     && Registry.snap_parts p.p_snap = Registry.snap_parts q.p_snap
-  | Wall v, Wall w ->
+  | Wall { wall = v; floor = f }, Wall { wall = w; floor = g } ->
     v.TW.s = w.TW.s && v.TW.m = w.TW.m
     && TW.to_vector v = TW.to_vector w
     && v.TW.released_at = w.TW.released_at
+    && f = g
   | a, b -> a = b
 
 let equal a b =

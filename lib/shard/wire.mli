@@ -52,12 +52,15 @@ type counters = {
   k_wall_releases : int;
   k_wall_lag_sum : int;
   k_wall_lag_max : int;
+  k_publications : int;  (** activity publications broadcast *)
 }
 
 type msg =
   | Pub of pub
   | Delta of delta
-  | Wall of Hdd_core.Timewall.wall  (** coordinator broadcast *)
+  | Wall of { wall : Hdd_core.Timewall.wall; floor : Time.t }
+      (** coordinator broadcast: a released wall, and the registry
+          prune floor receivers may apply (DESIGN.md §15) *)
   | Read_req of { req : int; segment : int; key : int; threshold : Time.t }
       (** 2PC-baseline only: read at the owner *)
   | Read_reply of { req : int; slice : (Time.t * int) list }

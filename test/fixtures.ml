@@ -33,6 +33,21 @@ let stress_profile seed =
      Hdd_runtime.Differential.Adhoc_read;
      Hdd_runtime.Differential.Mixed |].(seed / 3 mod 3)
 
+(* The long few-key shard script: 3000 transactions on a 4-segment
+   chain with 2 keys per segment.  Long runs release many walls over
+   few keys, which is what exposed the shard node's registry prune at
+   the released wall's anchor (non-serialisable in most seeds at 2
+   shards); both the domain and the process suites run it.  Seed counts
+   come from HDD_SHARD_LONG_SEEDS. *)
+let long_shard_case seed =
+  let partition = Hdd_runtime.Differential.chain_partition 4 in
+  ( partition,
+    Hdd_runtime.Differential.gen_script ~partition ~seed ~txns:3000
+      ~keys_per_segment:2 ~ro_frac:0.2 ~abort_frac:0.05 () )
+
+let long_shard_seeds ~default =
+  seeds_from_env ~default "HDD_SHARD_LONG_SEEDS"
+
 (* --- golden-trace helpers --- *)
 
 let read_file path =

@@ -151,7 +151,8 @@ let rand_counters prng =
     k_reads_a = Prng.int prng 100; k_reads_b = Prng.int prng 100;
     k_reads_c = Prng.int prng 100; k_writes = Prng.int prng 100;
     k_stale_waits = Prng.int prng 100; k_wall_releases = Prng.int prng 100;
-    k_wall_lag_sum = Prng.int prng 1000; k_wall_lag_max = Prng.int prng 100 }
+    k_wall_lag_sum = Prng.int prng 1000; k_wall_lag_max = Prng.int prng 100;
+    k_publications = Prng.int prng 1000 }
 
 let rand_msg prng =
   match Prng.int prng 13 with
@@ -167,7 +168,7 @@ let rand_msg prng =
         dl_versions =
           List.init (Prng.int prng 5) (fun k ->
               (k, 1 + Prng.int prng 1000, rand_int prng)) }
-  | 2 -> Sh.Wire.Wall (rand_wall prng)
+  | 2 -> Sh.Wire.Wall { wall = rand_wall prng; floor = Prng.int prng 1000 }
   | 3 ->
     Sh.Wire.Read_req
       { req = Prng.int prng 1000; segment = Prng.int prng 5;
@@ -295,6 +296,22 @@ let test_shard_stress_domains () =
         ~profile:(profile_of seed) ()
     in
     ok_or_fail (Printf.sprintf "domains seed %d shards %d" seed shards) r
+  done
+
+(* Long few-key scripts in domain mode: every seed at 2 shards, where
+   the anchor prune broke most runs, and at the seed's scaled shard
+   count as well (2 seeds per push cover 2/4/8; the nightly raises
+   HDD_SHARD_LONG_SEEDS). *)
+let test_long_scripts_domains () =
+  for seed = 1 to Fixtures.long_shard_seeds ~default:2 do
+    let partition, script = Fixtures.long_shard_case seed in
+    List.iter
+      (fun shards ->
+        ok_or_fail
+          (Printf.sprintf "long script seed %d, %d shards" seed shards)
+          (Sh.Shard_diff.check ~mode:`Domains ~partition ~init:D.default_init
+             ~shards ~seed ~script ()))
+      (List.sort_uniq compare [ 2; Fixtures.scaled_workers seed ])
   done
 
 (* Process mode lives in its own executable (test_shard_proc): OCaml 5
@@ -556,6 +573,44 @@ let test_node_rejects_malformed () =
   checkb "delta from the owner applied" false (delta 1 0);
   checkb "read request for an own segment served" false (read_req 2 0)
 
+(* --- the shard benchmark's deadline --- *)
+
+(* A node that waits on a peer which never publishes is stalled: the
+   benchmark's wait for its shard loops must fail naming it, not hang. *)
+let test_shardbench_deadline () =
+  let partition = D.chain_partition 3 in
+  let nets = Sh.Transport.Loopback.create ~nodes:2 () in
+  let config = { Sh.Node.default_config with stall_limit = 20_000 } in
+  let stuck =
+    Sh.Node.create ~config ~partition ~init:D.default_init ~net:nets.(1) ()
+  in
+  Sh.Node.set_on_wait stuck (fun () -> Unix.sleepf 1e-5);
+  let finished = [| Atomic.make true; Atomic.make false |] in
+  (* class 1 reads D2, which shard 0 owns; shard 0 never publishes *)
+  let d =
+    { E.d_id = 1; d_kind = `Update 1;
+      d_ops = [ E.Read (Granule.make ~segment:2 ~key:0) ]; d_abort = false }
+  in
+  let dom =
+    Domain.spawn (fun () ->
+        Sh.Node.exec stuck d;
+        Atomic.set finished.(1) true)
+  in
+  let t0 = Unix.gettimeofday () in
+  (match
+     Sh.Shardbench.await_loops ~deadline:(t0 +. 0.2) finished
+   with
+  | () -> Alcotest.fail "a stalled shard loop went unnoticed"
+  | exception Failure msg ->
+    checkb ("names shard 1: " ^ msg) true (Fixtures.contains msg "loop 1 "));
+  checkb "failed at the deadline" true (Unix.gettimeofday () -. t0 < 2.);
+  (* the node's own stall limit ends the domain *)
+  match Domain.join dom with
+  | () -> Alcotest.fail "the stalled node finished its transaction"
+  | exception Failure msg ->
+    checkb ("node reports the stall: " ^ msg) true
+      (Fixtures.contains msg "stalled")
+
 let suite =
   [ Alcotest.test_case "sclock: strided, unique, gossiped" `Quick test_sclock;
     Alcotest.test_case "codec: 1000-seed round-trip" `Quick
@@ -570,6 +625,10 @@ let suite =
       test_shard_stress;
     Alcotest.test_case "oracle: domain-mode stress" `Slow
       test_shard_stress_domains;
+    Alcotest.test_case "oracle: long few-key scripts, domain mode" `Slow
+      test_long_scripts_domains;
+    Alcotest.test_case "shardbench: stalled loop fails the deadline" `Quick
+      test_shardbench_deadline;
     Alcotest.test_case "netfault: every kind fires, oracle green" `Quick
       test_netfault_all_kinds;
     Alcotest.test_case "netfault: 30-drop storm stays sound" `Quick
